@@ -1,5 +1,6 @@
 #include "nn/activations.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -15,8 +16,10 @@ ReLU::forward(const Tensor &in, bool train)
     cached_batch_ = in.ndim() > 0 ? in.dim(0) : 1;
     const float *pi = in.data();
     float *po = out_buf_.data();
+    // `<=` rather than `>`: NaN fails the test and passes through, so a
+    // diverged activation stays visible; -0 maps to +0.
     for (std::size_t i = 0; i < in.numel(); ++i)
-        po[i] = pi[i] > 0.0f ? pi[i] : 0.0f;
+        po[i] = pi[i] <= 0.0f ? 0.0f : pi[i];
     return out_buf_;
 }
 
@@ -29,8 +32,12 @@ ReLU::backward(const Tensor &grad_out)
     const float *po = out_buf_.data();
     const float *pg = grad_out.data();
     float *pd = grad_in_.data();
-    for (std::size_t i = 0; i < grad_out.numel(); ++i)
-        pd[i] = po[i] > 0.0f ? pg[i] : 0.0f;
+    // Load pg[i] unconditionally: a load under the condition blocks
+    // if-conversion and leaves a branchy scalar loop.
+    for (std::size_t i = 0; i < grad_out.numel(); ++i) {
+        const float gv = pg[i];
+        pd[i] = po[i] > 0.0f ? gv : 0.0f;
+    }
     return grad_in_;
 }
 
@@ -87,8 +94,10 @@ Flatten::forward(const Tensor &in, bool train)
     cached_shape_ = in.shape();
     const std::size_t n = in.dim(0);
     const std::size_t rest = in.numel() / n;
-    out_buf_ = Tensor({n, rest},
-                      std::vector<float>(in.data(), in.data() + in.numel()));
+    if (out_buf_.ndim() != 2 || out_buf_.dim(0) != n ||
+        out_buf_.dim(1) != rest)
+        out_buf_ = Tensor({n, rest});
+    std::copy(in.data(), in.data() + in.numel(), out_buf_.data());
     return out_buf_;
 }
 
@@ -96,9 +105,10 @@ const Tensor &
 Flatten::backward(const Tensor &grad_out)
 {
     assert(grad_out.numel() == tensor::shapeNumel(cached_shape_));
-    grad_in_ = Tensor(cached_shape_,
-                      std::vector<float>(grad_out.data(),
-                                         grad_out.data() + grad_out.numel()));
+    if (grad_in_.shape() != cached_shape_)
+        grad_in_ = Tensor(cached_shape_);
+    std::copy(grad_out.data(), grad_out.data() + grad_out.numel(),
+              grad_in_.data());
     return grad_in_;
 }
 

@@ -8,6 +8,8 @@
 #ifndef FEDGPO_NN_DEPTHWISE_CONV2D_H_
 #define FEDGPO_NN_DEPTHWISE_CONV2D_H_
 
+#include <vector>
+
 #include "nn/layer.h"
 #include "util/rng.h"
 
@@ -55,6 +57,7 @@ class DepthwiseConv2D : public Layer
     Tensor db_;
     Tensor out_buf_;
     Tensor grad_in_;
+    std::vector<float> saved_; //!< border columns kept across a tap pass
     const Tensor *cached_in_ = nullptr;
 };
 

@@ -35,30 +35,43 @@ MaxPool2D::forward(const Tensor &in, bool train)
     if (out_buf_.ndim() != 4 || out_buf_.dim(0) != n)
         out_buf_ = Tensor({n, c_, oh_, ow_});
     argmax_.resize(n * c_ * oh_ * ow_);
+    const std::size_t k = k_, w = w_, plane = h_ * w_;
     const float *pi = in.data();
     float *po = out_buf_.data();
-    std::size_t out_idx = 0;
-    for (std::size_t img = 0; img < n; ++img) {
-        for (std::size_t ch = 0; ch < c_; ++ch) {
-            const float *x = pi + (img * c_ + ch) * h_ * w_;
-            const std::size_t base = (img * c_ + ch) * h_ * w_;
-            for (std::size_t oy = 0; oy < oh_; ++oy) {
-                for (std::size_t ox = 0; ox < ow_; ++ox, ++out_idx) {
-                    std::size_t best = (oy * k_) * w_ + ox * k_;
-                    float best_v = x[best];
-                    for (std::size_t ky = 0; ky < k_; ++ky) {
-                        for (std::size_t kx = 0; kx < k_; ++kx) {
-                            std::size_t idx =
-                                (oy * k_ + ky) * w_ + ox * k_ + kx;
-                            if (x[idx] > best_v) {
-                                best_v = x[idx];
-                                best = idx;
-                            }
-                        }
+    std::size_t *am = argmax_.data();
+    for (std::size_t p = 0; p < n * c_; ++p) {
+        const float *x = pi + p * plane;
+        for (std::size_t oy = 0; oy < oh_; ++oy) {
+            for (std::size_t ox = 0; ox < ow_; ++ox, ++po, ++am) {
+                std::size_t best = oy * k * w + ox * k;
+                float best_v = x[best];
+                float sum = 0.0f; // NaN if the window holds a NaN
+                for (std::size_t ky = 0; ky < k; ++ky) {
+                    const std::size_t row = (oy * k + ky) * w + ox * k;
+                    for (std::size_t kx = 0; kx < k; ++kx) {
+                        // Selects, not branches (gcc emits maxss + cmov).
+                        // Only a strictly greater value replaces the best,
+                        // so the first maximum is kept.
+                        const float v = x[row + kx];
+                        sum += v;
+                        best = v > best_v ? row + kx : best;
+                        best_v = v > best_v ? v : best_v;
                     }
-                    po[out_idx] = best_v;
-                    argmax_[out_idx] = base + best;
                 }
+                // `>` never selects a NaN. A NaN sum (a NaN in the window,
+                // or Inf + -Inf) rescans the window: its first NaN, if
+                // any, is the output.
+                if (sum != sum) {
+                    for (std::size_t t = k * k; t-- > 0;) {
+                        const std::size_t idx =
+                            (oy * k + t / k) * w + ox * k + t % k;
+                        if (x[idx] != x[idx])
+                            best = idx;
+                    }
+                    best_v = x[best];
+                }
+                *po = best_v;
+                *am = p * plane + best;
             }
         }
     }

@@ -179,8 +179,13 @@ writeMeta(std::ostream &out, int pid, std::int64_t tid, const char *what,
 std::string
 flowId(const TraceEvent &e)
 {
-    return "r" + std::to_string(e.round) + ".d" + std::to_string(e.dispatch) +
-           ".c" + std::to_string(e.client);
+    std::string id = "r";
+    id += std::to_string(e.round);
+    id += ".d";
+    id += std::to_string(e.dispatch);
+    id += ".c";
+    id += std::to_string(e.client);
+    return id;
 }
 
 std::string

@@ -716,24 +716,28 @@ microFmaPair8x8(const float *__restrict a, std::size_t lda,
             acc7);
     }
     // Fold even+odd phases (lane 2j + lane 2j+1), compress the sums to
-    // the low ymm, then apply bias and the accumulate base. The order is
-    // c_old + ((even + odd) + bias), documented in gemm.h.
+    // the low 8 lanes, then apply bias and the accumulate base. The order
+    // is c_old + ((even + odd) + bias), documented in gemm.h. Only the
+    // low 8 lanes are loaded and stored. The zero-masking permutes give
+    // every lane a defined value; the plain forms pass an undefined
+    // vector through, which gcc 12 flags as maybe-uninitialized.
+    const __mmask16 low = 0x00FF, all = 0xFFFF;
     const __m512i idx =
         _mm512_set_epi32(0, 0, 0, 0, 0, 0, 0, 0, 14, 12, 10, 8, 6, 4, 2, 0);
-    const __m256 bb =
-        bias != nullptr ? _mm256_loadu_ps(bias) : _mm256_setzero_ps();
+    const __m512 bb = bias != nullptr ? _mm512_maskz_loadu_ps(low, bias)
+                                      : _mm512_setzero_ps();
     float *cr = c;
     const __m512 accs[8] = {acc0, acc1, acc2, acc3,
                             acc4, acc5, acc6, acc7};
     for (std::size_t ii = 0; ii < kFastMr; ++ii, cr += ldc) {
-        const __m512 sum =
-            _mm512_add_ps(accs[ii], _mm512_permute_ps(accs[ii], 0xB1));
-        __m256 r = _mm512_castps512_ps256(_mm512_permutexvar_ps(idx, sum));
+        const __m512 sum = _mm512_add_ps(
+            accs[ii], _mm512_maskz_permute_ps(all, accs[ii], 0xB1));
+        __m512 r = _mm512_maskz_permutexvar_ps(all, idx, sum);
         if (bias != nullptr)
-            r = _mm256_add_ps(r, bb);
+            r = _mm512_add_ps(r, bb);
         if (accumulate)
-            r = _mm256_add_ps(_mm256_loadu_ps(cr), r);
-        _mm256_storeu_ps(cr, r);
+            r = _mm512_add_ps(_mm512_maskz_loadu_ps(low, cr), r);
+        _mm512_mask_storeu_ps(cr, low, r);
     }
 }
 

@@ -184,9 +184,60 @@ TEST(MaxPool, SelectsMaxAndRoutesGradient)
     EXPECT_EQ(dx[15], 1.0f);
 }
 
+TEST(MaxPool, NaNAnywhereInWindowPropagates)
+{
+    // `x > best` is false for NaN, so a NaN used to be dropped unless it
+    // came first in its window. It must reach the output, and the
+    // gradient goes to the window's first NaN.
+    constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+    MaxPool2D layer(1, 2, 2, 4);
+    Tensor x({1, 1, 2, 4}, 0.0f);
+    x[0] = 1.0f;
+    x[5] = kNaN;       // window 0, last element
+    x[2] = -1.0f;      // window 1: NaN at (1, 2), then again at (1, 3)
+    x[6] = kNaN;
+    x[7] = kNaN;
+    const Tensor &y = layer.forward(x, true);
+    EXPECT_TRUE(std::isnan(y[0]));
+    EXPECT_TRUE(std::isnan(y[1]));
+    const Tensor &dx = layer.backward(Tensor({1, 1, 1, 2}, 2.0f));
+    for (std::size_t i = 0; i < dx.numel(); ++i)
+        EXPECT_EQ(dx[i], i == 5 || i == 6 ? 2.0f : 0.0f) << "at " << i;
+}
+
+TEST(MaxPool, SignedZeroTiesKeepTheFirst)
+{
+    MaxPool2D layer(1, 2, 2, 2);
+    Tensor x({1, 1, 2, 2}, -1.0f);
+    x[1] = -0.0f;
+    x[2] = 0.0f;
+    const Tensor &y = layer.forward(x, true);
+    EXPECT_TRUE(std::signbit(y[0])) << "a later +0 replaced the first -0";
+}
+
 TEST(MaxPool, RejectsIndivisibleExtent)
 {
     EXPECT_THROW(MaxPool2D(1, 3, 8, 8), util::FatalError);
+}
+
+TEST(ReLU, NaNPropagatesAndNegativeZeroMapsToPositiveZero)
+{
+    constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    ReLU layer;
+    Tensor x({1, 5});
+    x[0] = kNaN;
+    x[1] = -0.0f;
+    x[2] = -kInf;
+    x[3] = kInf;
+    x[4] = 0.0f;
+    const Tensor &y = layer.forward(x, true);
+    EXPECT_TRUE(std::isnan(y[0])) << "ReLU masked a NaN as " << y[0];
+    EXPECT_EQ(y[1], 0.0f);
+    EXPECT_FALSE(std::signbit(y[1])) << "ReLU(-0) must be +0";
+    EXPECT_EQ(y[2], 0.0f);
+    EXPECT_EQ(y[3], kInf);
+    EXPECT_FALSE(std::signbit(y[4]));
 }
 
 TEST(ReLU, ClampsNegatives)

@@ -18,9 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/depthwise_conv2d.h"
 #include "nn/lstm.h"
+#include "nn/pool2d.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -121,6 +124,54 @@ TEST(SteadyStateAllocs, Conv2DForwardBackwardAllocationFree)
         layer.backward(dy);
     });
     EXPECT_EQ(n, 0u);
+}
+
+/** Allocations of one forward + backward after a warm-up pair. */
+std::uint64_t
+steadyStateAllocs(nn::Layer &layer, const Tensor &x, const Tensor &dy)
+{
+    layer.forward(x, true);
+    layer.backward(dy);
+    return allocsDuring([&] {
+        layer.forward(x, true);
+        layer.backward(dy);
+    });
+}
+
+TEST(SteadyStateAllocs, DepthwiseConv2DForwardBackwardAllocationFree)
+{
+    fedgpo::util::Rng rng(25);
+    // Stride 1 "same" (one flat pass per tap) and stride 2 (row passes).
+    nn::DepthwiseConv2D same(4, 3, 10, 10, 1, 1, rng);
+    nn::DepthwiseConv2D strided(4, 3, 10, 10, 2, 1, rng);
+    const Tensor x({3, 4, 10, 10}, 0.5f);
+    EXPECT_EQ(steadyStateAllocs(same, x, Tensor({3, 4, 10, 10}, 1.0f)), 0u);
+    EXPECT_EQ(steadyStateAllocs(strided, x, Tensor({3, 4, 5, 5}, 1.0f)),
+              0u);
+}
+
+TEST(SteadyStateAllocs, MaxPool2DForwardBackwardAllocationFree)
+{
+    nn::MaxPool2D layer(4, 2, 8, 8);
+    EXPECT_EQ(steadyStateAllocs(layer, Tensor({3, 4, 8, 8}, 0.5f),
+                                Tensor({3, 4, 4, 4}, 1.0f)),
+              0u);
+}
+
+TEST(SteadyStateAllocs, ReLUForwardBackwardAllocationFree)
+{
+    nn::ReLU layer;
+    EXPECT_EQ(steadyStateAllocs(layer, Tensor({3, 4, 8, 8}, 0.5f),
+                                Tensor({3, 4, 8, 8}, 1.0f)),
+              0u);
+}
+
+TEST(SteadyStateAllocs, FlattenForwardBackwardAllocationFree)
+{
+    nn::Flatten layer;
+    EXPECT_EQ(steadyStateAllocs(layer, Tensor({3, 4, 2, 2}, 0.5f),
+                                Tensor({3, 16}, 1.0f)),
+              0u);
 }
 
 TEST(SteadyStateAllocs, LstmForwardBackwardAllocationFree)
