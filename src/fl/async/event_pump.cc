@@ -84,6 +84,13 @@ EventPump::EventPump(const AsyncConfig &config,
         {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
 }
 
+EventPump::~EventPump()
+{
+    for (auto &kv : in_flight_)
+        if (kv.second.job.valid())
+            kv.second.job.wait();
+}
+
 bool
 EventPump::pickClient(const round::RoundContext &ctx, std::size_t &out)
 {
@@ -190,9 +197,8 @@ EventPump::selectDispatches(round::RoundContext &ctx,
             continue;
         }
 
-        // Mark the slot taken before training so the next pick cannot
-        // double-dispatch the client; the record is completed by
-        // commitDispatch.
+        // Mark the slot taken so the next pick cannot double-dispatch
+        // the client; the record is completed by dispatch().
         in_flight_[id] = InFlight{};
         fill.push_back(std::move(pending));
     }
@@ -218,98 +224,41 @@ EventPump::selectDispatches(round::RoundContext &ctx,
             fill[i].params = params[i];
         default_params_ = fill[0].params;
     }
-    for (PendingDispatch &p : fill)
-        p.train_rng =
-            dispatchStream(kTrainRoot, seed_, p.seq, p.client_id);
 }
 
 void
-EventPump::trainDispatch(round::RoundContext &ctx, PendingDispatch &pending,
-                         std::vector<float> &out_weights, double &out_loss,
-                         std::size_t &out_samples, std::size_t worker)
-{
-    // A churning device really trains up to its sampled completed-work
-    // fraction (the sync crash precedent), so its partial report carries
-    // a real loss even though the update is lost.
-    const double work_fraction =
-        pending.draw.churn ? pending.draw.churn_fraction : 1.0;
-    const bool traced = trc::enabled();
-    trc::Tracer &tracer = trc::Tracer::instance();
-    const std::uint64_t t0 = traced ? tracer.hostNowNs() : 0;
-    nn::Model &scratch = *ctx.workers->acquire(worker).model;
-    scratch.loadParams(*ctx.global_weights);
-    fleet::Client::UpdateResult update =
-        ctx.store->resident(pending.client_id)
-            .localTrain(scratch, pending.train_rng, *ctx.train_set,
-                        pending.params, ctx.lr, work_fraction);
-    out_weights = std::move(update.weights);
-    out_loss = update.train_loss;
-    out_samples = update.samples;
-    if (traced) {
-        trc::TraceEvent e;
-        e.kind = trc::EventKind::Train;
-        e.round = pending.created_round;
-        e.dispatch = pending.seq;
-        e.client = pending.client_id;
-        e.worker = static_cast<std::int32_t>(worker);
-        e.value = work_fraction;
-        e.dur_ns = tracer.hostNowNs() - t0;
-        tracer.record(e);
-    }
-}
-
-void
-EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
-                          PendingDispatch &pending,
-                          std::vector<float> &&weights, double train_loss,
-                          std::size_t update_samples)
+EventPump::dispatch(round::RoundContext &ctx, const FaultSink &faults,
+                    const PendingDispatch &pending)
 {
     const double now = ctx.clock->now();
-    const fleet::Client &c = ctx.store->resident(pending.client_id);
-    const std::vector<float> &gw = *ctx.global_weights;
+    fleet::Client &c = ctx.store->acquire(pending.client_id, ctx.round);
+    if (snapshot_ == nullptr)
+        snapshot_ =
+            std::make_shared<const std::vector<float>>(*ctx.global_weights);
 
     InFlight record;
     record.epoch = pending.seq;
     record.dispatch_version = model_version_;
     record.created_round = pending.created_round;
     record.draw = pending.draw;
-    record.weights = std::move(weights);
-    record.update_samples = update_samples;
     if (trc::enabled())
         traceDispatch(trc::EventKind::Dispatch, pending.created_round,
                       pending.seq, pending.client_id, now,
                       trc::Reason::None,
                       static_cast<std::int64_t>(model_version_));
 
-    // Traffic + encode, mirroring the sync Encode stage per dispatch: a
-    // churned device downloads the model but never uploads; otherwise
-    // the update is encoded/decoded in place against the dispatch-time
-    // globals so the server folds exactly what it received.
+    // Traffic, mirroring the sync Encode stage per dispatch: a churned
+    // device downloads the model but never uploads. Every codec's
+    // payload is a pure function of the parameter count, so the arrival
+    // is scheduled here, before the job has encoded anything.
     const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
     const bool real_codec =
         ctx.codec != nullptr && ctx.codec->kind() != comm::Codec::Identity;
+    const bool encodes = real_codec && !pending.draw.churn;
     std::uint64_t bytes_up = 0;
     if (!pending.draw.churn) {
-        bytes_up = real_codec
-                       ? ctx.codec->payloadBytes(gw.size())
-                       : full;
-        if (real_codec) {
-            std::vector<float> &w = record.weights;
-            assert(w.size() == gw.size());
-            std::vector<float> delta(w.size());
-            for (std::size_t j = 0; j < w.size(); ++j)
-                delta[j] = w[j] - gw[j];
-            util::Rng comm_rng = dispatchStream(kCommRoot, seed_,
-                                                pending.seq,
-                                                pending.client_id);
-            fleet::Client &mc = ctx.store->resident(pending.client_id);
-            comm::Encoded encoded;
-            ctx.codec->encode(delta, mc.commResidual(), comm_rng, encoded);
-            ctx.codec->decode(encoded, delta);
-            for (std::size_t j = 0; j < w.size(); ++j)
-                w[j] = gw[j] + delta[j];
-            bytes_up = encoded.payload_bytes;
-        }
+        bytes_up = real_codec ? ctx.codec->payloadBytes(snapshot_->size())
+                              : full;
         if (trc::enabled()) {
             trc::TraceEvent e;
             e.kind = trc::EventKind::Encode;
@@ -340,7 +289,6 @@ EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
     report.interference = c.interference();
     report.network = c.network();
     report.samples = c.shardSize();
-    report.train_loss = train_loss;
     report.cost = device::clientRoundCost(
         device::profileFor(c.category()), *ctx.cost_const, work,
         c.interference(), c.network());
@@ -406,7 +354,76 @@ EventPump::commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
                             pending.seq);
     }
 
+    // The job: everything it touches is captured here, on the pump
+    // thread — the snapshot, this client (pinned until the epoch's
+    // join), and streams split from (seed, dispatch, client). A churning
+    // device really trains up to its completed-work fraction (the sync
+    // crash precedent), so its partial report carries a real loss even
+    // though the update is lost.
+    const std::int32_t created_round = pending.created_round;
+    const std::uint64_t seq = pending.seq;
+    const std::size_t client_id = pending.client_id;
+    const PerDeviceParams params = pending.params;
+    const double work_fraction =
+        pending.draw.churn ? pending.draw.churn_fraction : 1.0;
+    const comm::UpdateCodec *codec = encodes ? ctx.codec : nullptr;
+    const data::Dataset *train_set = ctx.train_set;
+    runtime::WorkerContextPool *workers = ctx.workers;
+    const double lr = ctx.lr;
+    record.job = ctx.pool->submit(
+        [&c, globals = snapshot_, codec, train_set, workers, lr, params,
+         work_fraction, bytes_up, created_round, seq, client_id,
+         train_rng = dispatchStream(kTrainRoot, seed_, seq, client_id),
+         comm_rng = dispatchStream(kCommRoot, seed_, seq, client_id)](
+            std::size_t worker) mutable {
+            const bool traced = trc::enabled();
+            trc::Tracer &tracer = trc::Tracer::instance();
+            const std::uint64_t t0 = traced ? tracer.hostNowNs() : 0;
+            nn::Model &scratch = *workers->acquire(worker).model;
+            scratch.loadParams(*globals);
+            fleet::Client::UpdateResult update = c.localTrain(
+                scratch, train_rng, *train_set, params, lr, work_fraction);
+            if (traced) {
+                trc::TraceEvent e;
+                e.kind = trc::EventKind::Train;
+                e.round = created_round;
+                e.dispatch = seq;
+                e.client = client_id;
+                e.worker = static_cast<std::int32_t>(worker);
+                e.value = work_fraction;
+                e.dur_ns = tracer.hostNowNs() - t0;
+                tracer.record(e);
+            }
+            if (codec != nullptr) {
+                // Encode/decode against the dispatch-time globals so the
+                // server folds exactly what it received.
+                const std::vector<float> &gw = *globals;
+                std::vector<float> &w = update.weights;
+                assert(w.size() == gw.size());
+                std::vector<float> delta(w.size());
+                for (std::size_t j = 0; j < w.size(); ++j)
+                    delta[j] = w[j] - gw[j];
+                comm::Encoded encoded;
+                codec->encode(delta, c.commResidual(), comm_rng, encoded);
+                // The arrival was scheduled from this size at dispatch.
+                assert(encoded.payload_bytes == bytes_up);
+                (void)bytes_up;
+                codec->decode(encoded, delta);
+                for (std::size_t j = 0; j < w.size(); ++j)
+                    w[j] = gw[j] + delta[j];
+            }
+            return update;
+        });
     in_flight_[pending.client_id] = std::move(record);
+}
+
+void
+EventPump::join(InFlight &record)
+{
+    if (!record.job.valid())
+        return;
+    record.update = record.job.get();
+    record.report.train_loss = record.update.train_loss;
 }
 
 void
@@ -419,15 +436,8 @@ EventPump::topUp(round::RoundContext &ctx, const FaultSink &faults,
         selectDispatches(ctx, faults, &params, fill);
         if (fill.empty())
             return; // no available client left
-        for (PendingDispatch &p : fill) {
-            ctx.store->acquire(p.client_id, ctx.round);
-            std::vector<float> weights;
-            double loss = 0.0;
-            std::size_t samples = 0;
-            trainDispatch(ctx, p, weights, loss, samples, 0);
-            commitDispatch(ctx, faults, p, std::move(weights), loss,
-                           samples);
-        }
+        for (const PendingDispatch &p : fill)
+            dispatch(ctx, faults, p);
     }
 }
 
@@ -455,7 +465,7 @@ EventPump::foldAsync(round::RoundContext &ctx, InFlight &record,
     const double s = std::clamp(
         config_.mix * staleness_->weight(staleness), 0.0, 1.0);
     std::vector<float> &gw = *ctx.global_weights;
-    const std::vector<float> &w = record.weights;
+    const std::vector<float> &w = record.update.weights;
     assert(w.size() == gw.size());
     for (std::size_t j = 0; j < gw.size(); ++j) {
         const double acc =
@@ -466,12 +476,13 @@ EventPump::foldAsync(round::RoundContext &ctx, InFlight &record,
     if (ctx.global_model != nullptr)
         ctx.global_model->loadParams(gw);
     ++model_version_;
+    snapshot_.reset();
 
     record.report.applied_ts = arrival_ts;
     record.report.update_scale = s;
     if (s < 1.0)
         ++epoch_stats_.scaled;
-    accountFold(record.update_samples, staleness);
+    accountFold(record.update.samples, staleness);
 }
 
 void
@@ -517,6 +528,7 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
         if (ctx.global_model != nullptr)
             ctx.global_model->loadParams(gw);
         ++model_version_;
+        snapshot_.reset();
     }
 
     for (BufferedUpdate &b : buffer_) {
@@ -577,6 +589,7 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
 
     InFlight record = std::move(it->second);
     in_flight_.erase(it);
+    join(record);
     const int staleness =
         static_cast<int>(model_version_ - record.dispatch_version);
     ClientRoundReport &report = record.report;
@@ -626,7 +639,7 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         fe.client_id = event.client_id;
         fe.kind = fault::FaultKind::Stale;
         faults(fe);
-    } else if (!isFiniteUpdate(record.weights)) {
+    } else if (!isFiniteUpdate(record.update.weights)) {
         report.staleness = staleness;
         report.dropped = true;
         report.drop_reason = DropReason::Diverged;
@@ -649,11 +662,11 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
     } else {
         report.staleness = staleness;
         BufferedUpdate entry;
-        entry.samples = record.update_samples;
+        entry.samples = record.update.samples;
         entry.scale = std::clamp(staleness_->weight(staleness), 0.0, 1.0);
         entry.report = std::move(record.report);
         entry.report.update_scale = entry.scale;
-        entry.weights = std::move(record.weights);
+        entry.weights = std::move(record.update.weights);
         entry.dispatch = record.epoch;
         entry.created_round = record.created_round;
         buffer_.push_back(std::move(entry));
@@ -686,6 +699,7 @@ EventPump::onChurn(round::RoundContext &ctx, const FaultSink &faults,
         return;
     InFlight record = std::move(it->second);
     in_flight_.erase(it);
+    join(record); // the partial report carries the real training loss
 
     ClientRoundReport &report = record.report;
     ctx.result.participants.push_back(std::move(report));
@@ -754,25 +768,10 @@ EventPump::beginEpoch(round::RoundContext &ctx, const FaultSink &faults)
     ctx.result.codec =
         ctx.codec != nullptr ? ctx.codec->kind() : comm::Codec::Identity;
 
-    // Fill the in-flight set. The epoch-start fill trains in parallel —
-    // every dispatch sees the same (current) globals, each index writes
-    // only its own slot, and the training streams were pre-split per
-    // dispatch, so the fan-out is bit-identical to serial.
     std::vector<PendingDispatch> fill;
     selectDispatches(ctx, faults, nullptr, fill);
     for (const PendingDispatch &p : fill)
-        ctx.store->acquire(p.client_id, ctx.round);
-    std::vector<std::vector<float>> weights(fill.size());
-    std::vector<double> losses(fill.size(), 0.0);
-    std::vector<std::size_t> samples(fill.size(), 0);
-    ctx.pool->parallelFor(
-        fill.size(), [&](std::size_t i, std::size_t worker) {
-            trainDispatch(ctx, fill[i], weights[i], losses[i], samples[i],
-                          worker);
-        });
-    for (std::size_t i = 0; i < fill.size(); ++i)
-        commitDispatch(ctx, faults, fill[i], std::move(weights[i]),
-                       losses[i], samples[i]);
+        dispatch(ctx, faults, p);
 }
 
 void
@@ -841,6 +840,12 @@ EventPump::pumpEpoch(round::RoundContext &ctx, const FaultSink &faults)
 round::AggregationStats
 EventPump::finishEpoch(round::RoundContext &ctx)
 {
+    // No job may outlive its epoch: the store's endRound() may evict a
+    // client a job still holds by reference.
+    for (auto &kv : in_flight_)
+        join(kv.second);
+    snapshot_.reset();
+
     RoundResult &result = ctx.result;
     result.ts_start = ctx.round_start_ts;
     result.ts_end = ctx.clock->now();

@@ -23,12 +23,23 @@
  * carried in the event tag. A staleness bound drops updates older than
  * `max_staleness` with per-event accounting.
  *
- * Determinism: the pump is single-threaded except the epoch-start fill
- * training (a parallelFor with pre-split per-dispatch streams and
- * slot-private writes); selection draws from a persistent pump-owned
- * stream, and every train/comm/fault stream is a pure function of
- * (seed, dispatch, client) under its own root constant — so results
- * are bit-identical across thread counts and ClientStore LRU caps.
+ * Every dispatch runs in three steps. Dispatch (pump thread) selects
+ * the client, draws its faults, runs the cost model and schedules the
+ * Completion/Churn event; none of this reads the trained weights, and
+ * the upload size is the codec's data-independent payloadBytes(n). The
+ * job (a ThreadPool::submit task) trains on the executing worker's
+ * scratch model from a shared snapshot of the dispatch-time globals and
+ * round-trips the update through the codec. Join (pump thread) waits
+ * for the job when its event resolves, or at finishEpoch for dispatches
+ * still in flight, so no job outlives the epoch that issued it.
+ *
+ * Determinism: events pop and resolve one at a time on the pump thread,
+ * and every random draw — selection from a persistent pump-owned
+ * stream, the fault draws, and the per-dispatch train/comm streams
+ * (pure functions of (seed, dispatch, client) under their own root
+ * constants) — is made or split there. A job reads only its snapshot
+ * and its own client and writes only its own result, so results are
+ * bit-identical across thread counts and ClientStore LRU caps.
  */
 
 #ifndef FEDGPO_FL_ASYNC_EVENT_PUMP_H_
@@ -36,6 +47,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -75,11 +87,17 @@ class EventPump
     EventPump(const AsyncConfig &config, const fault::FaultModel &faults,
               std::uint64_t seed);
 
+    /** Waits for training jobs still running (e.g. after an exception). */
+    ~EventPump();
+
+    EventPump(const EventPump &) = delete;
+    EventPump &operator=(const EventPump &) = delete;
+
     /**
      * Start an epoch: stamp protocol metadata on the result, then fill
      * the in-flight set up to ctx.requested_k dispatches. New
      * dispatches are assigned via ctx.assign (one call over all newly
-     * chosen clients) and trained in parallel over ctx.pool.
+     * chosen clients); their training jobs run on ctx.pool.
      */
     void beginEpoch(round::RoundContext &ctx, const FaultSink &faults);
 
@@ -96,7 +114,9 @@ class EventPump
      * Close the epoch: timestamps, energy bookkeeping (participant
      * energy at arrival, tier-idle energy over uninvolved devices, no
      * barrier-wait energy — the async win), traffic totals, and the
-     * staleness summary. Returns the epoch's aggregation stats.
+     * staleness summary. Joins every job still in flight first, so the
+     * store may evict clients once this returns. Returns the epoch's
+     * aggregation stats.
      */
     round::AggregationStats finishEpoch(round::RoundContext &ctx);
 
@@ -120,8 +140,10 @@ class EventPump
         std::int32_t created_round = -1; //!< epoch of creation (trace id)
         fault::AsyncFaultDraw draw;
         ClientRoundReport report; //!< cost/traffic filled at dispatch
-        std::vector<float> weights; //!< trained (decoded) update
-        std::size_t update_samples = 0;
+        /** The training job; valid until joined. */
+        std::future<fleet::Client::UpdateResult> job;
+        /** Trained (decoded) update, moved out of the job at join. */
+        fleet::Client::UpdateResult update;
         bool upload_exhausted = false;
         bool churned = false;
     };
@@ -147,7 +169,7 @@ class EventPump
         std::int32_t created_round = -1; //!< trace id of dispatch one
     };
 
-    /** A freshly selected dispatch awaiting training. */
+    /** A freshly selected dispatch awaiting dispatch(). */
     struct PendingDispatch
     {
         std::size_t client_id = 0;
@@ -155,7 +177,6 @@ class EventPump
         std::int32_t created_round = -1; //!< epoch at selection (trace id)
         fault::AsyncFaultDraw draw;
         PerDeviceParams params;
-        util::Rng train_rng;
     };
 
     /**
@@ -173,19 +194,15 @@ class EventPump
                           const std::vector<PerDeviceParams> *inherit,
                           std::vector<PendingDispatch> &fill);
 
-    /** Train one pending dispatch on the given worker's scratch model. */
-    void trainDispatch(round::RoundContext &ctx, PendingDispatch &pending,
-                       std::vector<float> &out_weights, double &out_loss,
-                       std::size_t &out_samples, std::size_t worker);
-
     /**
-     * Encode, cost-model, retry-charge, and schedule one trained
-     * dispatch, inserting its InFlight record.
+     * Cost-model, retry-charge and schedule one selected dispatch,
+     * submit its training job, and insert its InFlight record.
      */
-    void commitDispatch(round::RoundContext &ctx, const FaultSink &faults,
-                        PendingDispatch &pending,
-                        std::vector<float> &&weights, double train_loss,
-                        std::size_t update_samples);
+    void dispatch(round::RoundContext &ctx, const FaultSink &faults,
+                  const PendingDispatch &pending);
+
+    /** Wait for the record's job (if not yet joined) and take its update. */
+    static void join(InFlight &record);
 
     /** Dispatch replacements until the concurrency target is met. */
     void topUp(round::RoundContext &ctx, const FaultSink &faults,
@@ -229,6 +246,12 @@ class EventPump
     std::uint64_t timeout_handle_ = 0;
     PerDeviceParams default_params_;
     bool warned_buffer_clamp_ = false;
+    /**
+     * Globals at the current model version, shared by the jobs
+     * dispatched at it; dropped when the globals change and at epoch
+     * end.
+     */
+    std::shared_ptr<const std::vector<float>> snapshot_;
     /** Fold-staleness distribution ("async.staleness"); null when off. */
     obs::Histogram *staleness_hist_ = nullptr;
 

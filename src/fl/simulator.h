@@ -280,10 +280,14 @@ class FlSimulator
     device::NetworkModel network_model_;
     std::unique_ptr<fleet::ClientStore> store_;
     std::unique_ptr<fleet::VirtualClock> clock_;
-    /** Event-driven protocol loop; null in Sync mode. */
-    std::unique_ptr<async::EventPump> pump_;
     std::array<std::unique_ptr<comm::UpdateCodec>, comm::kNumCodecs>
         codecs_;
+    /**
+     * Event-driven protocol loop; null in Sync mode. Declared after the
+     * pool, workers, store, data and codecs its training jobs use, so it
+     * is destroyed first and waits for any job still running.
+     */
+    std::unique_ptr<async::EventPump> pump_;
     std::vector<float> global_weights_;
     std::uint64_t train_flops_ = 0;
     std::size_t param_bytes_ = 0;

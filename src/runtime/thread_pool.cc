@@ -83,45 +83,41 @@ ThreadPool::workerLoop(std::size_t worker_id)
     }
 }
 
-std::future<void>
-ThreadPool::submit(std::function<void()> fn)
+void
+ThreadPool::enqueue(std::function<void(std::size_t)> task)
 {
-    auto task =
-        std::make_shared<std::packaged_task<void()>>(std::move(fn));
-    std::future<void> future = task->get_future();
     obs::addCount(tasks_counter_);
     if (workers_.empty()) {
         if (task_hist_ != nullptr) {
             if (wait_hist_ != nullptr)
                 wait_hist_->add(0.0);
             const auto t0 = Clock::now();
-            (*task)();
+            task(0);
             task_hist_->add(elapsedMs(t0));
         } else {
-            (*task)();
+            task(0);
         }
-        return future;
+        return;
     }
     const bool timed = wait_hist_ != nullptr || task_hist_ != nullptr;
     const auto enqueued = timed ? Clock::now() : Clock::time_point{};
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        queue_.emplace_back(
-            [this, task, timed, enqueued](std::size_t) {
-                if (!timed) {
-                    (*task)();
-                    return;
-                }
+        if (!timed) {
+            queue_.push_back(std::move(task));
+        } else {
+            queue_.emplace_back([this, task = std::move(task),
+                                 enqueued](std::size_t worker) {
                 if (wait_hist_ != nullptr)
                     wait_hist_->add(elapsedMs(enqueued));
                 const auto t0 = Clock::now();
-                (*task)();
+                task(worker);
                 if (task_hist_ != nullptr)
                     task_hist_->add(elapsedMs(t0));
             });
+        }
     }
     cv_.notify_one();
-    return future;
 }
 
 void

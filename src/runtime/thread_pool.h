@@ -16,8 +16,11 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace fedgpo {
@@ -53,10 +56,24 @@ class ThreadPool
     std::size_t size() const { return threads_; }
 
     /**
-     * Enqueue one task. The future completes when the task returns and
-     * carries any exception it threw.
+     * Enqueue one task, called as fn(worker) with the id of the worker
+     * that runs it, in [0, size()); like a parallelFor index's worker id
+     * it can index per-worker scratch state. With size() <= 1 the task
+     * runs inline as worker 0 before submit returns. The future carries
+     * the task's result, or any exception it threw.
      */
-    std::future<void> submit(std::function<void()> fn);
+    template <typename Fn>
+    auto submit(Fn fn)
+        -> std::future<std::invoke_result_t<Fn &, std::size_t>>
+    {
+        using Result = std::invoke_result_t<Fn &, std::size_t>;
+        auto task =
+            std::make_shared<std::packaged_task<Result(std::size_t)>>(
+                std::move(fn));
+        std::future<Result> future = task->get_future();
+        enqueue([task](std::size_t worker) { (*task)(worker); });
+        return future;
+    }
 
     /**
      * Run fn(i, worker) for every i in [0, n), fanning out across the
@@ -83,6 +100,9 @@ class ThreadPool
     static bool onWorkerThread();
 
   private:
+    /** Run `task` inline (no workers) or queue it for the next free one. */
+    void enqueue(std::function<void(std::size_t)> task);
+
     void workerLoop(std::size_t worker_id);
 
     std::size_t threads_;

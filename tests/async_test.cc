@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "fl/async/protocol.h"
 #include "fl/async/staleness.h"
+#include "fl/round/observer.h"
 #include "fl/simulator.h"
 #include "util/logging.h"
 
@@ -359,6 +363,55 @@ TEST(BufferedProtocol, TimeoutFlushesShortBuffer)
     EXPECT_LT(folded, 6u) << "timeout must beat the full buffer";
 }
 
+// ---- Job lifetime. -----------------------------------------------------
+
+/**
+ * Once armed, throws from the first fault event that fires after a
+ * dispatch (an observer failure). Offline faults are skipped: they fire
+ * at selection, possibly before the epoch has submitted any job.
+ */
+class ThrowOnFault : public round::RoundObserver
+{
+  public:
+    bool armed = false;
+
+    void onFault(const round::RoundContext &ctx,
+                 const round::FaultEvent &event) override
+    {
+        (void)ctx;
+        if (armed && event.kind != fault::FaultKind::Offline)
+            throw std::runtime_error("observer failure");
+    }
+};
+
+TEST(AsyncProtocol, DestroyingSimulatorMidEpochWaitsForTrainingJobs)
+{
+    // An exception escaping mid-epoch leaves training jobs queued on the
+    // pool that reference the simulator's store, workers, data and
+    // codecs; tearing the simulator down must wait for them (no
+    // use-after-free under ASan, no hang). LRU cap 4 keeps evictions
+    // happening between the epochs that do complete.
+    for (const ProtocolMode mode :
+         {ProtocolMode::Async, ProtocolMode::Buffered}) {
+        FlConfig c = asyncConfig(mode);
+        c.threads = 4;
+        c.fleet.lru_cap = 4;
+        c.comm.codec = comm::Codec::TopK;
+        c.faults.churn_rate = 0.2;
+        c.faults.offline_rate = 0.2;
+        c.faults.upload_failure_rate = 0.3;
+        ThrowOnFault observer;
+        {
+            FlSimulator sim(c);
+            sim.addRoundObserver(&observer);
+            sim.runRoundWithParams(GlobalParams{8, 2, 8});
+            observer.armed = true;
+            EXPECT_THROW(sim.runRoundWithParams(GlobalParams{8, 2, 8}),
+                         std::runtime_error);
+        }
+    }
+}
+
 // ---- Determinism across host-side knobs. ------------------------------
 
 struct EpochFingerprint
@@ -369,7 +422,23 @@ struct EpochFingerprint
     double staleness_mean;
     std::uint64_t model_version;
     std::size_t dropped;
+    std::uint64_t digest; //!< FNV-1a of the global saveParams() bytes
 };
+
+std::uint64_t
+weightDigest(const std::vector<float> &values)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (float v : values) {
+        unsigned char bytes[sizeof(float)];
+        std::memcpy(bytes, &v, sizeof(float));
+        for (unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
 
 std::vector<EpochFingerprint>
 runCampaign(FlConfig config, std::size_t threads, std::size_t lru_cap)
@@ -383,7 +452,8 @@ runCampaign(FlConfig config, std::size_t threads, std::size_t lru_cap)
             sim.runRoundWithParams(GlobalParams{8, 2, 5});
         out.push_back({r.test_accuracy, r.round_time, r.energy_total,
                        r.staleness_mean, r.model_version,
-                       r.droppedCount()});
+                       r.droppedCount(),
+                       weightDigest(sim.globalModel().saveParams())});
     }
     return out;
 }
@@ -410,6 +480,7 @@ expectIdenticalCampaigns(const FlConfig &config)
                 EXPECT_EQ(got[i].model_version,
                           reference[i].model_version);
                 EXPECT_EQ(got[i].dropped, reference[i].dropped);
+                EXPECT_EQ(got[i].digest, reference[i].digest);
             }
         }
     }
@@ -436,6 +507,50 @@ TEST(AsyncDeterminism, BufferedBitIdenticalAcrossThreadsAndLruCaps)
     c.faults.upload_failure_rate = 0.2;
     c.faults.reconnect_delay_s = 5.0;
     expectIdenticalCampaigns(c);
+}
+
+// The codec round trip runs inside each dispatch's training job; TopK
+// also mutates the client's error-feedback residual there, which must
+// survive LRU eviction and any thread count bit-for-bit.
+FlConfig
+faultyCodecConfig(ProtocolMode mode, comm::Codec codec)
+{
+    FlConfig c = asyncConfig(mode);
+    if (mode == ProtocolMode::Buffered)
+        c.protocol.buffer_size = 3;
+    c.comm.codec = codec;
+    c.comm.quant_chunk = 64;
+    c.comm.topk_fraction = 0.2;
+    c.faults.churn_rate = 0.2;
+    c.faults.duplicate_rate = 0.2;
+    c.faults.offline_rate = 0.1;
+    c.faults.upload_failure_rate = 0.2;
+    c.faults.reconnect_delay_s = 5.0;
+    return c;
+}
+
+TEST(AsyncDeterminism, AsyncInt8BitIdenticalAcrossThreadsAndLruCaps)
+{
+    expectIdenticalCampaigns(
+        faultyCodecConfig(ProtocolMode::Async, comm::Codec::Int8Quant));
+}
+
+TEST(AsyncDeterminism, AsyncTopKBitIdenticalAcrossThreadsAndLruCaps)
+{
+    expectIdenticalCampaigns(
+        faultyCodecConfig(ProtocolMode::Async, comm::Codec::TopK));
+}
+
+TEST(AsyncDeterminism, BufferedInt8BitIdenticalAcrossThreadsAndLruCaps)
+{
+    expectIdenticalCampaigns(
+        faultyCodecConfig(ProtocolMode::Buffered, comm::Codec::Int8Quant));
+}
+
+TEST(AsyncDeterminism, BufferedTopKBitIdenticalAcrossThreadsAndLruCaps)
+{
+    expectIdenticalCampaigns(
+        faultyCodecConfig(ProtocolMode::Buffered, comm::Codec::TopK));
 }
 
 } // namespace

@@ -77,6 +77,55 @@ TEST(CodecPayload, MakeCodecBuildsEachLevel)
     EXPECT_EQ(makeCodec(Codec::TopK, config)->kind(), Codec::TopK);
 }
 
+TEST(CodecPayload, EncodeEmitsExactlyPayloadBytesForAnyDelta)
+{
+    // The event pump schedules an upload's arrival from payloadBytes(n)
+    // before the update is trained or encoded, so every codec's encode
+    // must emit exactly that size whatever the delta holds.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    auto deltaOf = [&](int kind, std::size_t n) {
+        std::vector<float> d(n, 0.0f);
+        util::Rng rng(31 + n);
+        for (std::size_t i = 0; i < n; ++i) {
+            switch (kind) {
+              case 0: break; // all zero
+              case 1: d[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
+                      break;
+              case 2: d[i] = i % 3 == 0 ? inf : (i % 3 == 1 ? -inf : 0.5f);
+                      break;
+              default: d[i] = i % 2 == 0 ? nan : -0.25f; break;
+            }
+        }
+        return d;
+    };
+    CommConfig config;
+    config.quant_chunk = 64;
+    config.topk_fraction = 0.1;
+    for (const Codec level :
+         {Codec::Identity, Codec::Int8Quant, Codec::TopK}) {
+        const auto codec = makeCodec(level, config);
+        for (const std::size_t n :
+             {std::size_t{1}, std::size_t{7}, std::size_t{257},
+              std::size_t{1000}}) {
+            std::vector<float> residual;
+            for (int kind = 0; kind < 4; ++kind) {
+                // The residual carries over, as it does for a client
+                // across dispatches (TopK banks into it).
+                const std::vector<float> delta = deltaOf(kind, n);
+                util::Rng rng(7);
+                Encoded enc;
+                codec->encode(delta, residual, rng, enc);
+                EXPECT_EQ(enc.payload_bytes, codec->payloadBytes(n))
+                    << codecName(level) << " n=" << n << " kind=" << kind;
+                std::vector<float> decoded;
+                codec->decode(enc, decoded);
+                EXPECT_EQ(decoded.size(), n);
+            }
+        }
+    }
+}
+
 TEST(CodecNames, RoundTripThroughLabels)
 {
     for (std::size_t i = 0; i < kNumCodecs; ++i) {

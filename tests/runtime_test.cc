@@ -39,7 +39,7 @@ TEST(ThreadPool, SubmitRunsTasksAndJoins)
     std::atomic<int> count{0};
     std::vector<std::future<void>> futures;
     for (int i = 0; i < 64; ++i)
-        futures.push_back(pool.submit([&count] { ++count; }));
+        futures.push_back(pool.submit([&count](std::size_t) { ++count; }));
     for (auto &f : futures)
         f.get();
     EXPECT_EQ(count.load(), 64);
@@ -48,7 +48,7 @@ TEST(ThreadPool, SubmitRunsTasksAndJoins)
 TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
 {
     ThreadPool pool(2);
-    auto future = pool.submit([] { throw std::runtime_error("boom"); });
+    auto future = pool.submit([](std::size_t) { throw std::runtime_error("boom"); });
     EXPECT_THROW(future.get(), std::runtime_error);
 }
 
@@ -57,8 +57,64 @@ TEST(ThreadPool, SerialPoolRunsInline)
     ThreadPool pool(1);
     const auto caller = std::this_thread::get_id();
     std::thread::id ran_on;
-    pool.submit([&ran_on] { ran_on = std::this_thread::get_id(); }).get();
+    std::size_t worker = 99;
+    pool.submit([&ran_on, &worker](std::size_t w) {
+            ran_on = std::this_thread::get_id();
+            worker = w;
+        }).get();
     EXPECT_EQ(ran_on, caller);
+    EXPECT_EQ(worker, 0u);
+}
+
+TEST(ThreadPool, SubmitReturnsTheTaskResult)
+{
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        ThreadPool pool(threads);
+        auto future = pool.submit([](std::size_t) { return 42; });
+        EXPECT_EQ(future.get(), 42);
+    }
+}
+
+TEST(ThreadPool, SubmitHandsEachRunningTaskADistinctWorkerId)
+{
+    ThreadPool pool(4);
+    // Four tasks that wait for one another must all run at once, one per
+    // worker, so their ids are a permutation of [0, 4).
+    std::atomic<int> arrived{0};
+    std::vector<std::future<std::size_t>> ids;
+    for (int i = 0; i < 4; ++i)
+        ids.push_back(pool.submit([&arrived](std::size_t w) {
+            ++arrived;
+            while (arrived.load() < 4)
+                std::this_thread::yield();
+            return w;
+        }));
+    std::vector<bool> seen(pool.size(), false);
+    for (auto &f : ids) {
+        const std::size_t w = f.get();
+        ASSERT_LT(w, pool.size());
+        EXPECT_FALSE(seen[w]) << "worker id " << w << " handed out twice";
+        seen[w] = true;
+    }
+
+    // Many short tasks: no id is ever held by two running tasks at once.
+    std::vector<std::atomic<bool>> busy(pool.size());
+    for (auto &b : busy)
+        b.store(false);
+    std::atomic<int> bad{0};
+    std::vector<std::future<void>> futures;
+    for (int i = 0; i < 512; ++i)
+        futures.push_back(pool.submit([&busy, &bad](std::size_t w) {
+            if (w >= busy.size() || busy[w].exchange(true)) {
+                ++bad;
+                return;
+            }
+            std::this_thread::yield();
+            busy[w].store(false);
+        }));
+    for (auto &f : futures)
+        f.get();
+    EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndicesExactlyOnce)
