@@ -25,15 +25,13 @@ namespace fedgpo {
 namespace comm {
 
 /**
- * Per-participant traffic record for one round, filled by the round
- * pipeline's Encode stage and consumed by the Cost/Recover stages and
- * the trace writer. Counts are exact integers (proxy bytes).
+ * Per-participant upload record for one round, filled by the round
+ * pipeline's Encode stage and consumed by the Cost/Recover stages.
+ * Counts are exact integers (proxy bytes).
  */
 struct CommRecord
 {
-    std::uint64_t bytes_up = 0;   //!< encoded update payload (+ retries)
-    std::uint64_t bytes_down = 0; //!< global model download
-    bool encoded = false;         //!< a non-identity encode ran
+    std::uint64_t bytes_up = 0; //!< encoded update payload (+ retries)
 };
 
 /**

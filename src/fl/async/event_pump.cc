@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <string>
 
-#include "device/power_model.h"
+#include "fl/dispatch.h"
 #include "fl/round/recovery_policy.h"
 #include "obs/tracing/trace.h"
 #include "util/logging.h"
@@ -17,31 +16,6 @@ namespace async {
 namespace trc = obs::tracing;
 
 namespace {
-
-/**
- * Emit one causal trace event for an async dispatch. The trace id is
- * (created_round, global dispatch seq, client). Self-gating: a single
- * relaxed mode load when tracing is off.
- */
-void
-traceDispatch(trc::EventKind kind, std::int32_t created_round,
-              std::uint64_t dispatch, std::size_t client_id, double vt,
-              trc::Reason reason = trc::Reason::None,
-              std::int64_t aux = -1, double value = 0.0)
-{
-    if (!trc::enabled())
-        return;
-    trc::TraceEvent e;
-    e.kind = kind;
-    e.reason = reason;
-    e.round = created_round;
-    e.dispatch = dispatch;
-    e.client = client_id;
-    e.virtual_ts = vt;
-    e.aux = aux;
-    e.value = value;
-    trc::Tracer::instance().record(e);
-}
 
 // Root constants of the pump's dispatch-keyed stream families. Distinct
 // from the sync per-round roots ("TRaNGN"/"COMMCN"/"FAULT") so the two
@@ -57,15 +31,6 @@ dispatchStream(std::uint64_t root, std::uint64_t seed,
     util::Rng r(seed ^ root);
     util::Rng s = r.split(dispatch_seq);
     return s.split(client_id);
-}
-
-bool
-isFiniteUpdate(const std::vector<float> &w)
-{
-    for (float v : w)
-        if (!std::isfinite(v))
-            return false;
-    return true;
 }
 
 } // namespace
@@ -162,9 +127,8 @@ EventPump::selectDispatches(round::RoundContext &ctx,
         pending.created_round = ctx.round;
         if (draws)
             pending.draw = fault_model_->drawDispatch(pending.seq, id);
-        if (trc::enabled())
-            traceDispatch(trc::EventKind::Select, ctx.round, pending.seq,
-                          id, ctx.clock->now());
+        dispatch::trace(trc::EventKind::Select, ctx.round, pending.seq,
+                        id, ctx.clock->now());
 
         if (pending.draw.offline) {
             // Unreachable at dispatch: a zero-cost rejected report, a
@@ -184,9 +148,8 @@ EventPump::selectDispatches(round::RoundContext &ctx,
             report.dispatch_ts = now;
             ctx.result.participants.push_back(std::move(report));
             ++ctx.result.dropped_offline;
-            if (trc::enabled())
-                traceDispatch(trc::EventKind::Reject, ctx.round,
-                              pending.seq, id, now, trc::Reason::Offline);
+            dispatch::trace(trc::EventKind::Reject, ctx.round,
+                            pending.seq, id, now, trc::Reason::Offline);
             round::FaultEvent event;
             event.client_id = id;
             event.kind = fault::FaultKind::Offline;
@@ -241,83 +204,39 @@ EventPump::dispatch(round::RoundContext &ctx, const FaultSink &faults,
     record.dispatch_version = model_version_;
     record.created_round = pending.created_round;
     record.draw = pending.draw;
-    if (trc::enabled())
-        traceDispatch(trc::EventKind::Dispatch, pending.created_round,
-                      pending.seq, pending.client_id, now,
-                      trc::Reason::None,
-                      static_cast<std::int64_t>(model_version_));
+    dispatch::trace(trc::EventKind::Dispatch, pending.created_round,
+                    pending.seq, pending.client_id, now,
+                    trc::Reason::None,
+                    static_cast<std::int64_t>(model_version_));
 
-    // Traffic, mirroring the sync Encode stage per dispatch: a churned
-    // device downloads the model but never uploads. Every codec's
-    // payload is a pure function of the parameter count, so the arrival
-    // is scheduled here, before the job has encoded anything.
-    const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
-    const bool real_codec =
-        ctx.codec != nullptr && ctx.codec->kind() != comm::Codec::Identity;
-    const bool encodes = real_codec && !pending.draw.churn;
-    std::uint64_t bytes_up = 0;
-    if (!pending.draw.churn) {
-        bytes_up = real_codec ? ctx.codec->payloadBytes(snapshot_->size())
-                              : full;
-        if (trc::enabled()) {
-            trc::TraceEvent e;
-            e.kind = trc::EventKind::Encode;
-            e.round = pending.created_round;
-            e.dispatch = pending.seq;
-            e.client = pending.client_id;
-            e.virtual_ts = now;
-            e.bytes = bytes_up;
-            e.aux = static_cast<std::int64_t>(
-                real_codec ? ctx.codec->kind() : comm::Codec::Identity);
-            trc::Tracer::instance().record(e);
-        }
-    }
-
-    // Cost model, as in the sync Cost stage.
-    device::LocalWorkSpec work;
-    work.train_flops_per_sample = ctx.train_flops;
-    work.samples = c.shardSize();
-    work.batch = pending.params.batch;
-    work.epochs = pending.params.epochs;
-    work.param_bytes = ctx.param_bytes;
-    work.upload_bytes = bytes_up;
+    // Traffic: a churned device downloads the model but never uploads.
+    // The upload size does not depend on the trained weights, so the
+    // arrival is scheduled here, before the job has encoded anything.
+    const std::uint64_t bytes_up =
+        pending.draw.churn ? 0
+                           : dispatch::uploadBytes(ctx.codec,
+                                                   snapshot_->size(),
+                                                   ctx.param_bytes);
+    if (bytes_up > 0)
+        dispatch::trace(trc::EventKind::Encode, pending.created_round,
+                        pending.seq, pending.client_id, now,
+                        trc::Reason::None,
+                        static_cast<std::int64_t>(ctx.result.codec), 0.0,
+                        bytes_up);
 
     ClientRoundReport &report = record.report;
-    report.client_id = c.id();
-    report.category = c.category();
-    report.params = pending.params;
-    report.interference = c.interference();
-    report.network = c.network();
-    report.samples = c.shardSize();
-    report.cost = device::clientRoundCost(
-        device::profileFor(c.category()), *ctx.cost_const, work,
-        c.interference(), c.network());
-    report.bytes_up = bytes_up;
-    report.bytes_down = full;
+    report = dispatch::costReport(c, pending.params, bytes_up,
+                                  *ctx.cost_const, ctx.train_flops,
+                                  ctx.param_bytes);
     report.dispatch_ts = now;
 
     if (pending.draw.churn) {
         // Lost between dispatch and arrival after churn_fraction of the
-        // local work: charge the completed compute plus the download leg
-        // (the crash proration), and schedule a Churn event instead of a
-        // completion — the update never reaches the server, so a
-        // duplicate delivery cannot exist either.
-        record.churned = true;
-        const double f = pending.draw.churn_fraction;
-        const double f_down =
-            report.cost.t_comm > 0.0
-                ? report.cost.t_comm_down / report.cost.t_comm
-                : 0.0;
-        report.cost.t_comp *= f;
-        report.cost.e_comp *= f;
-        report.cost.t_comm *= f_down;
-        report.cost.e_comm *= f_down;
-        report.cost.t_comm_up = 0.0;
-        report.cost.t_round = report.cost.t_comp + report.cost.t_comm;
-        report.cost.e_total = report.cost.e_comp + report.cost.e_comm;
-        report.dropped = true;
-        report.drop_reason = DropReason::Churned;
-        report.update_scale = f;
+        // local work: schedule a Churn event instead of a completion —
+        // the update never reaches the server, so a duplicate delivery
+        // cannot exist either.
+        dispatch::prorate(report, pending.draw.churn_fraction,
+                          DropReason::Churned);
         ctx.clock->schedule(now + report.cost.t_round, pending.client_id,
                             fleet::FleetEvent::Kind::Churn, pending.seq);
     } else {
@@ -333,18 +252,15 @@ EventPump::dispatch(round::RoundContext &ctx, const FaultSink &faults,
                     fault_model_->config(), report,
                     pending.draw.upload_failures, bytes_up, *ctx.cost_const,
                     events);
-            if (trc::enabled()) {
-                for (const round::FaultEvent &e : events)
-                    traceDispatch(
-                        e.kind == fault::FaultKind::UploadRetry
-                            ? trc::EventKind::UploadRetry
-                            : trc::EventKind::UploadExhausted,
-                        pending.created_round, pending.seq,
-                        pending.client_id, now, trc::Reason::None,
-                        e.attempt, e.backoff_s);
-            }
-            for (const round::FaultEvent &e : events)
+            for (const round::FaultEvent &e : events) {
+                dispatch::trace(e.kind == fault::FaultKind::UploadRetry
+                                    ? trc::EventKind::UploadRetry
+                                    : trc::EventKind::UploadExhausted,
+                                pending.created_round, pending.seq,
+                                pending.client_id, now, trc::Reason::None,
+                                e.attempt, e.backoff_s);
                 faults(e);
+            }
             ctx.result.upload_retries +=
                 static_cast<std::size_t>(charge.retries);
             record.upload_exhausted = charge.exhausted;
@@ -360,59 +276,24 @@ EventPump::dispatch(round::RoundContext &ctx, const FaultSink &faults,
     // device really trains up to its completed-work fraction (the sync
     // crash precedent), so its partial report carries a real loss even
     // though the update is lost.
-    const std::int32_t created_round = pending.created_round;
-    const std::uint64_t seq = pending.seq;
-    const std::size_t client_id = pending.client_id;
-    const PerDeviceParams params = pending.params;
-    const double work_fraction =
+    dispatch::TrainJob job;
+    job.client = &c;
+    job.train_set = ctx.train_set;
+    job.workers = ctx.workers;
+    job.params = pending.params;
+    job.lr = ctx.lr;
+    job.work_fraction =
         pending.draw.churn ? pending.draw.churn_fraction : 1.0;
-    const comm::UpdateCodec *codec = encodes ? ctx.codec : nullptr;
-    const data::Dataset *train_set = ctx.train_set;
-    runtime::WorkerContextPool *workers = ctx.workers;
-    const double lr = ctx.lr;
+    job.codec = pending.draw.churn ? nullptr : dispatch::encoder(ctx.codec);
+    job.train_rng =
+        dispatchStream(kTrainRoot, seed_, pending.seq, pending.client_id);
+    job.comm_rng =
+        dispatchStream(kCommRoot, seed_, pending.seq, pending.client_id);
+    job.round = pending.created_round;
+    job.dispatch = pending.seq;
     record.job = ctx.pool->submit(
-        [&c, globals = snapshot_, codec, train_set, workers, lr, params,
-         work_fraction, bytes_up, created_round, seq, client_id,
-         train_rng = dispatchStream(kTrainRoot, seed_, seq, client_id),
-         comm_rng = dispatchStream(kCommRoot, seed_, seq, client_id)](
-            std::size_t worker) mutable {
-            const bool traced = trc::enabled();
-            trc::Tracer &tracer = trc::Tracer::instance();
-            const std::uint64_t t0 = traced ? tracer.hostNowNs() : 0;
-            nn::Model &scratch = *workers->acquire(worker).model;
-            scratch.loadParams(*globals);
-            fleet::Client::UpdateResult update = c.localTrain(
-                scratch, train_rng, *train_set, params, lr, work_fraction);
-            if (traced) {
-                trc::TraceEvent e;
-                e.kind = trc::EventKind::Train;
-                e.round = created_round;
-                e.dispatch = seq;
-                e.client = client_id;
-                e.worker = static_cast<std::int32_t>(worker);
-                e.value = work_fraction;
-                e.dur_ns = tracer.hostNowNs() - t0;
-                tracer.record(e);
-            }
-            if (codec != nullptr) {
-                // Encode/decode against the dispatch-time globals so the
-                // server folds exactly what it received.
-                const std::vector<float> &gw = *globals;
-                std::vector<float> &w = update.weights;
-                assert(w.size() == gw.size());
-                std::vector<float> delta(w.size());
-                for (std::size_t j = 0; j < w.size(); ++j)
-                    delta[j] = w[j] - gw[j];
-                comm::Encoded encoded;
-                codec->encode(delta, c.commResidual(), comm_rng, encoded);
-                // The arrival was scheduled from this size at dispatch.
-                assert(encoded.payload_bytes == bytes_up);
-                (void)bytes_up;
-                codec->decode(encoded, delta);
-                for (std::size_t j = 0; j < w.size(); ++j)
-                    w[j] = gw[j] + delta[j];
-            }
-            return update;
+        [job, globals = snapshot_](std::size_t worker) mutable {
+            return dispatch::train(job, *globals, worker);
         });
     in_flight_[pending.client_id] = std::move(record);
 }
@@ -493,10 +374,9 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
         timeout_pending_ = false;
     }
     ++epoch_flushes_;
-    if (trc::enabled())
-        traceDispatch(trc::EventKind::Flush, ctx.round, 0, 0, flush_ts,
-                      trc::Reason::None,
-                      static_cast<std::int64_t>(buffer_.size()));
+    dispatch::trace(trc::EventKind::Flush, ctx.round, 0, 0, flush_ts,
+                    trc::Reason::None,
+                    static_cast<std::int64_t>(buffer_.size()));
 
     std::size_t total = 0;
     for (const BufferedUpdate &b : buffer_)
@@ -536,9 +416,9 @@ EventPump::flushBuffer(round::RoundContext &ctx, double flush_ts)
         if (b.report.update_scale < 1.0)
             ++epoch_stats_.scaled;
         accountFold(b.samples, b.report.staleness);
-        traceDispatch(trc::EventKind::Fold, b.created_round, b.dispatch,
-                      b.report.client_id, flush_ts, trc::Reason::None,
-                      b.report.staleness, b.report.update_scale);
+        dispatch::trace(trc::EventKind::Fold, b.created_round, b.dispatch,
+                        b.report.client_id, flush_ts, trc::Reason::None,
+                        b.report.staleness, b.report.update_scale);
         ctx.result.participants.push_back(std::move(b.report));
     }
     buffer_.clear();
@@ -571,15 +451,12 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         report.arrival_rank = epoch_arrivals_++;
         ctx.result.participants.push_back(std::move(report));
         ++ctx.result.dropped_duplicate;
-        if (trc::enabled()) {
-            // The duplicate shares its origin's trace id (event.tag IS
-            // the dispatch seq), so the chain shows both deliveries.
-            traceDispatch(trc::EventKind::Arrival, created_round,
-                          event.tag, event.client_id, event.ts);
-            traceDispatch(trc::EventKind::Reject, created_round,
-                          event.tag, event.client_id, event.ts,
-                          trc::Reason::Duplicate);
-        }
+        // The duplicate shares its origin's trace id (event.tag IS the
+        // dispatch seq), so the chain shows both deliveries.
+        dispatch::trace(trc::EventKind::Arrival, created_round, event.tag,
+                        event.client_id, event.ts);
+        dispatch::trace(trc::EventKind::Reject, created_round, event.tag,
+                        event.client_id, event.ts, trc::Reason::Duplicate);
         round::FaultEvent fe;
         fe.client_id = event.client_id;
         fe.kind = fault::FaultKind::Duplicate;
@@ -595,18 +472,16 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
     ClientRoundReport &report = record.report;
     report.arrival_ts = event.ts;
     report.arrival_rank = epoch_arrivals_++;
-    traceDispatch(trc::EventKind::Arrival, record.created_round,
-                  record.epoch, event.client_id, event.ts,
-                  trc::Reason::None, staleness);
+    dispatch::trace(trc::EventKind::Arrival, record.created_round,
+                    record.epoch, event.client_id, event.ts,
+                    trc::Reason::None, staleness);
 
     // The first delivery arms the spurious second one (same tag), which
     // then finds the record gone and is rejected above.
     if (record.draw.duplicate) {
         DuplicateInfo info;
-        info.client_id = event.client_id;
         info.category = report.category;
         info.dispatch_ts = report.dispatch_ts;
-        info.dispatch_version = record.dispatch_version;
         info.created_round = record.created_round;
         dup_info_[record.epoch] = info;
         ctx.clock->schedule(
@@ -622,9 +497,9 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         report.staleness = staleness;
         ctx.result.participants.push_back(std::move(report));
         ++ctx.result.dropped_upload;
-        traceDispatch(trc::EventKind::Reject, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::UploadFailed, staleness);
+        dispatch::trace(trc::EventKind::Reject, record.created_round,
+                        record.epoch, event.client_id, event.ts,
+                        trc::Reason::UploadFailed, staleness);
     } else if (staleness > config_.max_staleness) {
         report.staleness = staleness;
         report.dropped = true;
@@ -632,32 +507,32 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         report.update_scale = 0.0;
         ctx.result.participants.push_back(std::move(report));
         ++ctx.result.dropped_stale;
-        traceDispatch(trc::EventKind::Reject, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::Stale, staleness);
+        dispatch::trace(trc::EventKind::Reject, record.created_round,
+                        record.epoch, event.client_id, event.ts,
+                        trc::Reason::Stale, staleness);
         round::FaultEvent fe;
         fe.client_id = event.client_id;
         fe.kind = fault::FaultKind::Stale;
         faults(fe);
-    } else if (!isFiniteUpdate(record.update.weights)) {
+    } else if (!dispatch::isFinite(record.update.weights)) {
         report.staleness = staleness;
         report.dropped = true;
         report.drop_reason = DropReason::Diverged;
         ctx.result.participants.push_back(std::move(report));
         ++ctx.result.dropped_diverged;
-        traceDispatch(trc::EventKind::Reject, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::Diverged, staleness);
+        dispatch::trace(trc::EventKind::Reject, record.created_round,
+                        record.epoch, event.client_id, event.ts,
+                        trc::Reason::Diverged, staleness);
         util::logWarn("epoch " + std::to_string(ctx.round) + ": client " +
                       std::to_string(event.client_id) +
                       " update diverged; rejected");
     } else if (config_.mode == ProtocolMode::Async) {
         report.staleness = staleness;
         foldAsync(ctx, record, event.ts, staleness);
-        traceDispatch(trc::EventKind::Fold, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::None, staleness,
-                      record.report.update_scale);
+        dispatch::trace(trc::EventKind::Fold, record.created_round,
+                        record.epoch, event.client_id, event.ts,
+                        trc::Reason::None, staleness,
+                        record.report.update_scale);
         ctx.result.participants.push_back(std::move(record.report));
     } else {
         report.staleness = staleness;
@@ -670,10 +545,10 @@ EventPump::onCompletion(round::RoundContext &ctx, const FaultSink &faults,
         entry.dispatch = record.epoch;
         entry.created_round = record.created_round;
         buffer_.push_back(std::move(entry));
-        traceDispatch(trc::EventKind::Buffer, record.created_round,
-                      record.epoch, event.client_id, event.ts,
-                      trc::Reason::None,
-                      static_cast<std::int64_t>(buffer_.size()));
+        dispatch::trace(trc::EventKind::Buffer, record.created_round,
+                        record.epoch, event.client_id, event.ts,
+                        trc::Reason::None,
+                        static_cast<std::int64_t>(buffer_.size()));
         if (buffer_.size() == 1 && config_.buffer_timeout_s > 0.0) {
             timeout_handle_ = ctx.clock->schedule(
                 event.ts + config_.buffer_timeout_s, 0,
@@ -704,9 +579,9 @@ EventPump::onChurn(round::RoundContext &ctx, const FaultSink &faults,
     ClientRoundReport &report = record.report;
     ctx.result.participants.push_back(std::move(report));
     ++ctx.result.dropped_churn;
-    traceDispatch(trc::EventKind::Churn, record.created_round,
-                  record.epoch, event.client_id, event.ts,
-                  trc::Reason::Churned, -1, record.draw.churn_fraction);
+    dispatch::trace(trc::EventKind::Churn, record.created_round,
+                    record.epoch, event.client_id, event.ts,
+                    trc::Reason::Churned, -1, record.draw.churn_fraction);
     round::FaultEvent fe;
     fe.client_id = event.client_id;
     fe.kind = fault::FaultKind::Churn;
@@ -816,8 +691,8 @@ EventPump::pumpEpoch(round::RoundContext &ctx, const FaultSink &faults)
             auto it = offline_until_.find(event.client_id);
             if (it != offline_until_.end() && it->second <= event.ts)
                 offline_until_.erase(it);
-            traceDispatch(trc::EventKind::Reconnect, ctx.round, 0,
-                          event.client_id, event.ts);
+            dispatch::trace(trc::EventKind::Reconnect, ctx.round, 0,
+                            event.client_id, event.ts);
             topUp(ctx, faults, default_params_);
             break;
           }
@@ -858,47 +733,21 @@ EventPump::finishEpoch(round::RoundContext &ctx)
         result.staleness_max = staleness_max_;
     }
 
-    // Energy and traffic: every report processed this epoch is charged
-    // at its arrival (or rejection), with no barrier-wait energy — the
-    // structural saving of the event-driven protocols. In-flight
-    // compute is charged in the epoch its arrival lands in.
-    for (const ClientRoundReport &p : result.participants) {
-        result.energy_participants += p.cost.e_total;
-        result.bytes_up_total += p.bytes_up;
-        result.bytes_down_total += p.bytes_down;
-    }
-
-    // Tier-idle energy over devices not involved this epoch (neither
-    // reported on nor currently in flight), replicating the sync Energy
-    // stage's boundary walk: ascending id, one add per idle device.
-    const std::size_t fleet = ctx.store->size();
-    double idle_by_tier[device::kNumCategories];
-    for (std::size_t c = 0; c < device::kNumCategories; ++c) {
-        device::PowerModel power(
-            device::profileFor(static_cast<device::Category>(c)));
-        idle_by_tier[c] = power.idleEnergy(result.round_time);
-    }
+    // Energy: every report processed this epoch is charged at its
+    // arrival (or rejection), with no barrier-wait energy — the
+    // structural saving of the event-driven protocols. In-flight compute
+    // is charged in the epoch its arrival lands in, and tier-idle energy
+    // covers the devices neither reported on nor in flight.
     std::vector<std::size_t> involved;
     involved.reserve(result.participants.size() + in_flight_.size());
-    for (const ClientRoundReport &p : result.participants)
+    for (const ClientRoundReport &p : result.participants) {
+        result.energy_participants += p.cost.e_total;
         involved.push_back(p.client_id);
+    }
     for (const auto &kv : in_flight_)
         involved.push_back(kv.first);
-    std::sort(involved.begin(), involved.end());
-    involved.erase(std::unique(involved.begin(), involved.end()),
-                   involved.end());
-    const auto tiers = device::tierBoundaries(fleet);
-    std::size_t next_inv = 0;
-    std::size_t tier = 0;
-    for (std::size_t id = 0; id < fleet; ++id) {
-        while (tier + 1 < device::kNumCategories && id >= tiers[tier + 1])
-            ++tier;
-        if (next_inv < involved.size() && involved[next_inv] == id) {
-            ++next_inv;
-            continue;
-        }
-        result.energy_idle += idle_by_tier[tier];
-    }
+    result.energy_idle = dispatch::tierIdleEnergy(
+        ctx.store->size(), result.round_time, std::move(involved));
     result.energy_total = result.energy_participants + result.energy_idle;
     return epoch_stats_;
 }

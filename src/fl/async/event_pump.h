@@ -23,15 +23,14 @@
  * carried in the event tag. A staleness bound drops updates older than
  * `max_staleness` with per-event accounting.
  *
- * Every dispatch runs in three steps. Dispatch (pump thread) selects
- * the client, draws its faults, runs the cost model and schedules the
- * Completion/Churn event; none of this reads the trained weights, and
- * the upload size is the codec's data-independent payloadBytes(n). The
- * job (a ThreadPool::submit task) trains on the executing worker's
- * scratch model from a shared snapshot of the dispatch-time globals and
- * round-trips the update through the codec. Join (pump thread) waits
- * for the job when its event resolves, or at finishEpoch for dispatches
- * still in flight, so no job outlives the epoch that issued it.
+ * Every dispatch runs in three steps over the shared lifecycle of
+ * fl/dispatch.h. Dispatch (pump thread) selects the client, draws its
+ * faults, prices it and schedules the Completion/Churn event; none of
+ * this reads the trained weights. The training job (a ThreadPool::submit
+ * task) starts from a shared snapshot of the dispatch-time globals.
+ * Join (pump thread) waits for the job when its event resolves, or at
+ * finishEpoch for dispatches still in flight, so no job outlives the
+ * epoch that issued it.
  *
  * Determinism: events pop and resolve one at a time on the pump thread,
  * and every random draw — selection from a persistent pump-owned
@@ -95,7 +94,7 @@ class EventPump
 
     /**
      * Start an epoch: stamp protocol metadata on the result, then fill
-     * the in-flight set up to ctx.requested_k dispatches. New
+     * the in-flight set up to ctx.requested_k (at most the fleet). New
      * dispatches are assigned via ctx.assign (one call over all newly
      * chosen clients); their training jobs run on ctx.pool.
      */
@@ -145,7 +144,6 @@ class EventPump
         /** Trained (decoded) update, moved out of the job at join. */
         fleet::Client::UpdateResult update;
         bool upload_exhausted = false;
-        bool churned = false;
     };
 
     /** A folded-but-unflushed update (Buffered mode). */
@@ -162,10 +160,8 @@ class EventPump
     /** What a duplicate rejection needs to report about dispatch one. */
     struct DuplicateInfo
     {
-        std::size_t client_id = 0;
         device::Category category = device::Category::High;
         double dispatch_ts = -1.0;
-        std::uint64_t dispatch_version = 0;
         std::int32_t created_round = -1; //!< trace id of dispatch one
     };
 

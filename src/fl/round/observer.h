@@ -32,8 +32,8 @@ namespace round {
 enum class Stage
 {
     Select,    //!< choose K participants + per-device (B, E)
-    Train,     //!< real local SGD, fanned over the worker pool
-    Encode,    //!< update codec: encode/decode + traffic accounting
+    Train,     //!< local SGD + codec round trip, fanned over the pool
+    Encode,    //!< traffic record (the codec itself runs in Train)
     Cost,      //!< analytic per-device time/energy (Eqs. 2-3)
     Recover,   //!< RecoveryPolicy: upload retries, backoff, give-ups
     Straggler, //!< StragglerPolicy: drops/scaling + round gating time

@@ -23,7 +23,7 @@
 #include "data/dataset.h"
 #include "device/cost_model.h"
 #include "fault/fault_model.h"
-#include "fl/client.h"
+#include "fleet/client.h"
 #include "fl/types.h"
 #include "fleet/client_store.h"
 #include "fleet/virtual_clock.h"
@@ -59,7 +59,7 @@ struct RoundContext
      * `selected` — same derivation discipline as train_rngs (a pure
      * function of (seed, round, client)), so encoding is bit-identical
      * at any thread count. Empty when the codec is Identity/null (the
-     * Encode stage then touches no RNG at all).
+     * Train fan-out then touches no comm RNG at all).
      */
     std::vector<util::Rng> comm_rngs;
 
@@ -82,7 +82,7 @@ struct RoundContext
     /**
      * The fleet's client state (non-owning). The engine pins every
      * participant right after selection (ClientStore::acquire) so the
-     * parallel Train/Encode fan-outs can use the read-only resident()
+     * parallel Train fan-out can use the read-only resident()
      * lookup; between-round eviction is the simulator's endRound() call.
      */
     fleet::ClientStore *store = nullptr;
@@ -161,17 +161,16 @@ struct RoundContext
 
     // ---- Stage outputs. ------------------------------------------------
 
-    /** Locally trained weights, parallel to `selected` (Train stage). */
-    std::vector<Client::UpdateResult> updates;
-
     /**
-     * Per-participant traffic, parallel to `selected` (Encode stage).
-     * After Encode, updates[i].weights already holds the *decoded*
-     * update (global weights + decode(encode(delta))), so every later
-     * consumer — divergence rejection, AcceptPartial scaling,
-     * TrimmedMean, FedAvg — operates on what the server actually
-     * received.
+     * Locally trained weights, parallel to `selected` (Train stage).
+     * Each already holds the *decoded* update (global weights +
+     * decode(encode(delta))), so every later consumer — divergence
+     * rejection, AcceptPartial scaling, TrimmedMean, FedAvg — operates
+     * on what the server actually received.
      */
+    std::vector<fleet::Client::UpdateResult> updates;
+
+    /** Per-participant upload, parallel to `selected` (Encode stage). */
     std::vector<comm::CommRecord> comm;
 
     /** The round's result, accumulated stage by stage. */

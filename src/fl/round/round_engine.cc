@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <string>
 #include <unordered_map>
 
 #include "device/power_model.h"
 #include "fl/async/event_pump.h"
+#include "fl/dispatch.h"
 #include "obs/tracing/trace.h"
 #include "util/logging.h"
 
@@ -17,30 +17,6 @@ namespace fl {
 namespace round {
 
 namespace trc = obs::tracing;
-
-namespace {
-
-/**
- * Emit one causal trace event for the synchronous pipeline. The trace
- * id of a sync dispatch is (round, cohort slot, client); callers gate
- * on trc::enabled() so an untraced run never reaches this.
- */
-void
-traceSync(trc::EventKind kind, const RoundContext &ctx, std::size_t slot,
-          std::size_t client_id, double vt,
-          trc::Reason reason = trc::Reason::None)
-{
-    trc::TraceEvent e;
-    e.kind = kind;
-    e.reason = reason;
-    e.round = ctx.round;
-    e.dispatch = slot;
-    e.client = client_id;
-    e.virtual_ts = vt;
-    trc::Tracer::instance().record(e);
-}
-
-} // namespace
 
 const char *
 stageName(Stage stage)
@@ -77,21 +53,14 @@ rejectDivergedUpdates(RoundContext &ctx)
         ClientRoundReport &p = ctx.result.participants[i];
         if (p.dropped)
             continue;
-        bool finite = true;
-        for (float v : ctx.updates[i].weights) {
-            if (!std::isfinite(v)) {
-                finite = false;
-                break;
-            }
-        }
-        if (!finite) {
+        if (!dispatch::isFinite(ctx.updates[i].weights)) {
             p.dropped = true;
             p.drop_reason = DropReason::Diverged;
             ++ctx.result.dropped_diverged;
             ++rejected;
-            if (trc::enabled())
-                traceSync(trc::EventKind::Reject, ctx, i, p.client_id,
-                          ctx.result.ts_end, trc::Reason::Diverged);
+            dispatch::trace(trc::EventKind::Reject, ctx.round, i,
+                            p.client_id, ctx.result.ts_end,
+                            trc::Reason::Diverged);
             util::logWarn("round " + std::to_string(ctx.round) +
                           ": client " + std::to_string(p.client_id) +
                           " update diverged; rejected");
@@ -202,9 +171,8 @@ RoundEngine::run(RoundContext &ctx)
             o->onStage(ctx, stage, wall_ms);
     };
 
-    if (trc::enabled())
-        traceSync(trc::EventKind::RoundStart, ctx, 0, 0,
-                  ctx.round_start_ts);
+    dispatch::trace(trc::EventKind::RoundStart, ctx.round, 0, 0,
+                    ctx.round_start_ts);
     timed(Stage::Select, [this](RoundContext &c) { stageSelect(c); });
     for (RoundObserver *o : observers_)
         o->onRoundStart(ctx);
@@ -221,6 +189,64 @@ RoundEngine::run(RoundContext &ctx)
         for (const ClientRoundReport &p : ctx.result.participants)
             o->onClientReport(ctx, p);
     timed(Stage::Evaluate, [this](RoundContext &c) { stageEvaluate(c); });
+    return endRound(ctx);
+}
+
+RoundResult
+RoundEngine::runEvents(RoundContext &ctx, async::EventPump &pump)
+{
+    ctx.result.round = ctx.round;
+    const auto sink = [this, &ctx](const FaultEvent &event) {
+        fireFault(ctx, event);
+    };
+
+    dispatch::trace(trc::EventKind::RoundStart, ctx.round, 0, 0,
+                    ctx.round_start_ts);
+    // Selection (and its offline fault events) precede onRoundStart,
+    // mirroring run(); the event loop then subsumes Train..Energy.
+    pump.beginEpoch(ctx, sink);
+    for (RoundObserver *o : observers_)
+        o->onRoundStart(ctx);
+    pump.pumpEpoch(ctx, sink);
+    const AggregationStats stats = pump.finishEpoch(ctx);
+
+    if (stats.contributors > 0)
+        for (RoundObserver *o : observers_)
+            o->onAggregate(ctx, stats);
+    for (RoundObserver *o : observers_)
+        for (const ClientRoundReport &p : ctx.result.participants)
+            o->onClientReport(ctx, p);
+    stageEvaluate(ctx);
+    return endRound(ctx);
+}
+
+RoundResult
+RoundEngine::endRound(RoundContext &ctx)
+{
+    // Fleet traffic (exact integer bytes; retransmissions are already
+    // folded into each report). Every report that uploaded anything went
+    // through the round's codec.
+    RoundResult &result = ctx.result;
+    const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
+    const bool encodes = result.codec != comm::Codec::Identity;
+    std::uint64_t encoded_updates = 0;
+    for (const ClientRoundReport &p : result.participants) {
+        result.bytes_up_total += p.bytes_up;
+        result.bytes_down_total += p.bytes_down;
+        if (p.bytes_up == 0)
+            continue;
+        if (encodes)
+            ++encoded_updates;
+        if (ratio_hist_ != nullptr)
+            ratio_hist_->add(comm::CommModel::compressionRatio(
+                full + static_cast<std::uint64_t>(p.upload_retries) * full,
+                p.bytes_up));
+    }
+    obs::addCount(encoded_counter_, encoded_updates);
+    obs::addCount(bytes_up_counter_, result.bytes_up_total);
+    obs::addCount(bytes_down_counter_, result.bytes_down_total);
+    obs::addCount(codec_up_counters_[static_cast<std::size_t>(result.codec)],
+                  result.bytes_up_total);
 
     // Policy feedback runs inside the round so the decision record it
     // publishes (state, action, Q-row, reward terms) reaches observers
@@ -232,63 +258,14 @@ RoundEngine::run(RoundContext &ctx)
             o->onDecision(ctx, *ctx.decision);
 
     obs::addCount(rounds_counter_);
-    if (ctx.result.aborted)
+    if (result.aborted)
         obs::addCount(aborts_counter_);
     for (RoundObserver *o : observers_)
-        o->onRoundEnd(ctx.result);
-    if (trc::enabled())
-        traceSync(trc::EventKind::RoundEnd, ctx, 0, 0, ctx.result.ts_end);
+        o->onRoundEnd(result);
+    dispatch::trace(trc::EventKind::RoundEnd, ctx.round, 0, 0,
+                    result.ts_end);
     trc::Tracer::instance().drainRound(ctx.round);
-    return ctx.result;
-}
-
-RoundResult
-RoundEngine::runEvents(RoundContext &ctx, async::EventPump &pump)
-{
-    ctx.result.round = ctx.round;
-    const auto sink = [this, &ctx](const FaultEvent &event) {
-        fireFault(ctx, event);
-    };
-
-    if (trc::enabled())
-        traceSync(trc::EventKind::RoundStart, ctx, 0, 0,
-                  ctx.round_start_ts);
-    // Selection (and its offline fault events) precede onRoundStart,
-    // mirroring run(); the event loop then subsumes Train..Energy.
-    pump.beginEpoch(ctx, sink);
-    for (RoundObserver *o : observers_)
-        o->onRoundStart(ctx);
-    pump.pumpEpoch(ctx, sink);
-    const AggregationStats stats = pump.finishEpoch(ctx);
-
-    obs::addCount(bytes_up_counter_, ctx.result.bytes_up_total);
-    obs::addCount(bytes_down_counter_, ctx.result.bytes_down_total);
-    obs::addCount(
-        codec_up_counters_[static_cast<std::size_t>(ctx.result.codec)],
-        ctx.result.bytes_up_total);
-    if (stats.contributors > 0)
-        for (RoundObserver *o : observers_)
-            o->onAggregate(ctx, stats);
-    for (RoundObserver *o : observers_)
-        for (const ClientRoundReport &p : ctx.result.participants)
-            o->onClientReport(ctx, p);
-    stageEvaluate(ctx);
-
-    if (ctx.feedback)
-        ctx.feedback(ctx);
-    if (ctx.decision != nullptr)
-        for (RoundObserver *o : observers_)
-            o->onDecision(ctx, *ctx.decision);
-
-    obs::addCount(rounds_counter_);
-    if (ctx.result.aborted)
-        obs::addCount(aborts_counter_);
-    for (RoundObserver *o : observers_)
-        o->onRoundEnd(ctx.result);
-    if (trc::enabled())
-        traceSync(trc::EventKind::RoundEnd, ctx, 0, 0, ctx.result.ts_end);
-    trc::Tracer::instance().drainRound(ctx.round);
-    return ctx.result;
+    return result;
 }
 
 void
@@ -338,14 +315,15 @@ RoundEngine::stageSelect(RoundContext &ctx)
         // One Select per cohort slot; an offline draw's chain ends here,
         // everyone else's model ships (Dispatch) at the round start.
         for (std::size_t i = 0; i < ctx.selected.size(); ++i) {
-            traceSync(trc::EventKind::Select, ctx, i, ctx.selected[i],
-                      ctx.round_start_ts);
+            const std::size_t id = ctx.selected[i];
+            const double vt = ctx.round_start_ts;
+            dispatch::trace(trc::EventKind::Select, ctx.round, i, id, vt);
             if (!ctx.faults.empty() && ctx.faults[i].offline)
-                traceSync(trc::EventKind::Reject, ctx, i, ctx.selected[i],
-                          ctx.round_start_ts, trc::Reason::Offline);
+                dispatch::trace(trc::EventKind::Reject, ctx.round, i, id,
+                                vt, trc::Reason::Offline);
             else
-                traceSync(trc::EventKind::Dispatch, ctx, i,
-                          ctx.selected[i], ctx.round_start_ts);
+                dispatch::trace(trc::EventKind::Dispatch, ctx.round, i, id,
+                                vt);
         }
     }
 }
@@ -357,140 +335,71 @@ RoundEngine::stageTrain(RoundContext &ctx)
     assert(ctx.store != nullptr && ctx.train_set != nullptr);
     assert(ctx.global_weights != nullptr);
 
-    // Every participant trains locally (real SGD), fanned out across the
-    // worker pool. Determinism: each client's training RNG was split from
+    // Every participant trains locally (real SGD) and round-trips its
+    // update through the codec, fanned out across the worker pool.
+    // Determinism: each slot's train/comm streams were split from
     // (seed, round, client_id) before dispatch, every index writes only
-    // its own updates[i] slot, and everything order-dependent (cost
-    // modeling, reduction) happens in later stages in client-index order
-    // on this thread — so the result is bit-identical to serial execution
-    // regardless of scheduling.
+    // its own updates[i] slot and its own client's residual (a client
+    // appears at most once per round), and everything order-dependent
+    // (cost modeling, reduction) happens in later stages in client-index
+    // order on this thread — so the result is bit-identical to serial
+    // execution regardless of scheduling.
+    const comm::UpdateCodec *codec = dispatch::encoder(ctx.codec);
+    assert(codec == nullptr || ctx.comm_rngs.size() == ctx.selected.size());
     ctx.updates.resize(ctx.selected.size());
-    const bool traced = trc::enabled();
     ctx.pool->parallelFor(
         ctx.selected.size(),
-        [&ctx, traced](std::size_t i, std::size_t worker) {
+        [&ctx, codec](std::size_t i, std::size_t worker) {
             // Fault handling (decided pre-dispatch, so still
             // scheduling-independent): an offline device never trains;
             // a crashing device really runs SGD up to its sampled
             // completed-work fraction, so its partial report carries a
-            // real loss even though the update itself is lost.
-            double work_fraction = 1.0;
+            // real loss, but it never uploads.
+            dispatch::TrainJob job;
+            job.codec = codec;
             if (!ctx.faults.empty()) {
                 if (ctx.faults[i].offline)
                     return;
-                if (ctx.faults[i].crash)
-                    work_fraction = ctx.faults[i].crash_fraction;
+                if (ctx.faults[i].crash) {
+                    job.work_fraction = ctx.faults[i].crash_fraction;
+                    job.codec = nullptr;
+                }
             }
-            trc::Tracer &tracer = trc::Tracer::instance();
-            const std::uint64_t t0 = traced ? tracer.hostNowNs() : 0;
-            nn::Model &scratch = *ctx.workers->acquire(worker).model;
-            scratch.loadParams(*ctx.global_weights);
-            ctx.updates[i] = ctx.store->resident(ctx.selected[i]).localTrain(
-                scratch, ctx.train_rngs[i], *ctx.train_set, ctx.params[i],
-                ctx.lr, work_fraction);
-            if (traced) {
-                trc::TraceEvent e;
-                e.kind = trc::EventKind::Train;
-                e.round = ctx.round;
-                e.dispatch = i;
-                e.client = ctx.selected[i];
-                e.worker = static_cast<std::int32_t>(worker);
-                e.value = work_fraction;
-                e.dur_ns = tracer.hostNowNs() - t0;
-                tracer.record(e);
-            }
+            job.client = &ctx.store->resident(ctx.selected[i]);
+            job.train_set = ctx.train_set;
+            job.workers = ctx.workers;
+            job.params = ctx.params[i];
+            job.lr = ctx.lr;
+            job.train_rng = ctx.train_rngs[i];
+            if (job.codec != nullptr)
+                job.comm_rng = ctx.comm_rngs[i];
+            job.round = ctx.round;
+            job.dispatch = i;
+            ctx.updates[i] = dispatch::train(job, *ctx.global_weights, worker);
         });
 }
 
 void
 RoundEngine::stageEncode(RoundContext &ctx)
 {
-    // Traffic accounting runs for every round: the download is always
-    // the full global model, and an un-encoded upload ships param_bytes.
-    // A device that never came online moves no bytes; one that crashed
-    // mid-training downloaded the model but never reached the upload.
+    // The upload record (the codec itself ran in the Train fan-out). A
+    // device that never came online, or that crashed mid-training,
+    // never reached the upload.
     ctx.result.codec =
         ctx.codec != nullptr ? ctx.codec->kind() : comm::Codec::Identity;
-    const std::uint64_t full =
-        static_cast<std::uint64_t>(ctx.param_bytes);
-    const bool real_codec =
-        ctx.codec != nullptr && ctx.codec->kind() != comm::Codec::Identity;
+    const std::uint64_t bytes_up = dispatch::uploadBytes(
+        ctx.codec, ctx.global_weights->size(), ctx.param_bytes);
     ctx.comm.assign(ctx.selected.size(), comm::CommRecord{});
     for (std::size_t i = 0; i < ctx.selected.size(); ++i) {
-        if (!ctx.faults.empty() && ctx.faults[i].offline)
+        if (!ctx.faults.empty() &&
+            (ctx.faults[i].offline || ctx.faults[i].crash))
             continue;
-        ctx.comm[i].bytes_down = full;
-        if (!ctx.faults.empty() && ctx.faults[i].crash)
-            continue;
-        ctx.comm[i].bytes_up =
-            real_codec ? ctx.codec->payloadBytes(
-                             ctx.global_weights->size())
-                       : full;
-    }
-    if (!real_codec) {
-        if (trc::enabled())
-            traceEncodeStage(ctx);
-        return; // Identity: no delta math, bit-inert by construction
-    }
-
-    // Encode + decode each surviving update in place: after this stage
-    // updates[i].weights holds global + decode(encode(delta)), so the
-    // aggregation path sees exactly what the server received. The
-    // fan-out mutates only slot-private state (updates[i], the client's
-    // own residual — each client appears at most once per round) and
-    // draws only from the pre-split per-(round, client) comm stream, so
-    // the result is bit-identical at any thread count.
-    assert(ctx.pool != nullptr && ctx.store != nullptr);
-    assert(ctx.global_weights != nullptr);
-    assert(ctx.comm_rngs.size() == ctx.selected.size());
-    const std::vector<float> &global = *ctx.global_weights;
-    ctx.pool->parallelFor(
-        ctx.selected.size(), [&ctx, &global](std::size_t i, std::size_t) {
-            if (!ctx.faults.empty() &&
-                (ctx.faults[i].offline || ctx.faults[i].crash))
-                return; // no update ever reaches the server
-            std::vector<float> &w = ctx.updates[i].weights;
-            assert(w.size() == global.size());
-            std::vector<float> delta(w.size());
-            for (std::size_t j = 0; j < w.size(); ++j)
-                delta[j] = w[j] - global[j];
-            Client &client = ctx.store->resident(ctx.selected[i]);
-            comm::Encoded encoded;
-            ctx.codec->encode(delta, client.commResidual(),
-                              ctx.comm_rngs[i], encoded);
-            ctx.codec->decode(encoded, delta);
-            for (std::size_t j = 0; j < w.size(); ++j)
-                w[j] = global[j] + delta[j];
-            ctx.comm[i].bytes_up = encoded.payload_bytes;
-            ctx.comm[i].encoded = true;
-        });
-    std::uint64_t encoded_updates = 0;
-    for (const comm::CommRecord &r : ctx.comm)
-        if (r.encoded)
-            ++encoded_updates;
-    obs::addCount(encoded_counter_, encoded_updates);
-    if (trc::enabled())
-        traceEncodeStage(ctx);
-}
-
-void
-RoundEngine::traceEncodeStage(const RoundContext &ctx)
-{
-    // After the (possibly parallel) encode fan-out, the comm records
-    // hold the final payloads; caller-thread emission keeps event order
-    // deterministic per slot.
-    for (std::size_t i = 0; i < ctx.comm.size(); ++i) {
-        if (ctx.comm[i].bytes_up == 0)
-            continue;
-        trc::TraceEvent e;
-        e.kind = trc::EventKind::Encode;
-        e.round = ctx.round;
-        e.dispatch = i;
-        e.client = ctx.selected[i];
-        e.virtual_ts = ctx.round_start_ts;
-        e.bytes = ctx.comm[i].bytes_up;
-        e.aux = static_cast<std::int64_t>(ctx.result.codec);
-        trc::Tracer::instance().record(e);
+        ctx.comm[i].bytes_up = bytes_up;
+        dispatch::trace(trc::EventKind::Encode, ctx.round, i,
+                        ctx.selected[i], ctx.round_start_ts,
+                        trc::Reason::None,
+                        static_cast<std::int64_t>(ctx.result.codec), 0.0,
+                        bytes_up);
     }
 }
 
@@ -501,81 +410,30 @@ RoundEngine::stageCost(RoundContext &ctx)
 
     // Model each participant's round cost (analytic, caller thread).
     for (std::size_t i = 0; i < ctx.selected.size(); ++i) {
-        const Client &c = ctx.store->resident(ctx.selected[i]);
-        device::LocalWorkSpec work;
-        work.train_flops_per_sample = ctx.train_flops;
-        work.samples = c.shardSize();
-        work.batch = ctx.params[i].batch;
-        work.epochs = ctx.params[i].epochs;
-        work.param_bytes = ctx.param_bytes;
-        // Uplink payload from the Encode stage's traffic record; 0 (a
-        // device that never reached the upload) falls back to the
-        // uncompressed default inside the cost model — the crash branch
-        // below then charges only the download anyway.
-        if (i < ctx.comm.size())
-            work.upload_bytes = ctx.comm[i].bytes_up;
-
-        ClientRoundReport report;
-        report.client_id = c.id();
-        report.category = c.category();
-        report.params = ctx.params[i];
-        report.interference = c.interference();
-        report.network = c.network();
-        report.samples = c.shardSize();
+        ClientRoundReport report = dispatch::costReport(
+            ctx.store->resident(ctx.selected[i]), ctx.params[i],
+            ctx.comm[i].bytes_up, *ctx.cost_const, ctx.train_flops,
+            ctx.param_bytes);
         report.train_loss = ctx.updates[i].train_loss;
-        report.cost = device::clientRoundCost(
-            device::profileFor(c.category()), *ctx.cost_const, work,
-            c.interference(), c.network());
-        if (i < ctx.comm.size()) {
-            report.bytes_up = ctx.comm[i].bytes_up;
-            report.bytes_down = ctx.comm[i].bytes_down;
-        }
 
         if (!ctx.faults.empty()) {
             const fault::FaultDraw &draw = ctx.faults[i];
             if (draw.offline) {
                 // Never reached: no work, no traffic, no energy.
                 report.cost = device::RoundCost{};
+                report.bytes_down = 0;
                 report.dropped = true;
                 report.drop_reason = DropReason::Offline;
                 report.update_scale = 0.0;
             } else if (draw.crash) {
-                // Crashed after the download, at crash_fraction of the
-                // local work: charge the completed compute and the
-                // download leg of the exchange; the upload never
-                // happened. The update is lost, but the report
-                // surfaces the completed fraction via update_scale.
-                // (With an uncompressed upload the download fraction is
-                // exactly 0.5, bit-identical to the former *= 0.5.)
+                // Crashed after the download: the update is lost, but
+                // the report surfaces the completed fraction.
                 const double f = draw.crash_fraction;
-                const double f_down =
-                    report.cost.t_comm > 0.0
-                        ? report.cost.t_comm_down / report.cost.t_comm
-                        : 0.0;
-                report.cost.t_comp *= f;
-                report.cost.e_comp *= f;
-                report.cost.t_comm *= f_down;
-                report.cost.e_comm *= f_down;
-                report.cost.t_comm_up = 0.0;
-                report.cost.t_round =
-                    report.cost.t_comp + report.cost.t_comm;
-                report.cost.e_total =
-                    report.cost.e_comp + report.cost.e_comm;
-                report.dropped = true;
-                report.drop_reason = DropReason::Crashed;
-                report.update_scale = f;
+                dispatch::prorate(report, f, DropReason::Crashed);
                 ++ctx.result.dropped_crashed;
-                if (trc::enabled()) {
-                    trc::TraceEvent te;
-                    te.kind = trc::EventKind::Reject;
-                    te.reason = trc::Reason::Crashed;
-                    te.round = ctx.round;
-                    te.dispatch = i;
-                    te.client = report.client_id;
-                    te.virtual_ts = ctx.round_start_ts;
-                    te.value = f;
-                    trc::Tracer::instance().record(te);
-                }
+                dispatch::trace(trc::EventKind::Reject, ctx.round, i,
+                                report.client_id, ctx.round_start_ts,
+                                trc::Reason::Crashed, -1, f);
                 FaultEvent event;
                 event.client_id = report.client_id;
                 event.kind = fault::FaultKind::Crash;
@@ -603,23 +461,19 @@ RoundEngine::stageRecover(RoundContext &ctx)
             auto it = slots.find(event.client_id);
             if (it == slots.end())
                 continue;
-            trc::TraceEvent te;
-            te.round = ctx.round;
-            te.dispatch = it->second;
-            te.client = event.client_id;
-            te.virtual_ts = ctx.round_start_ts;
-            te.aux = event.attempt;
-            if (event.kind == fault::FaultKind::UploadRetry) {
-                te.kind = trc::EventKind::UploadRetry;
-                te.value = event.backoff_s;
-                trc::Tracer::instance().record(te);
-            } else if (event.kind == fault::FaultKind::UploadExhausted) {
-                te.kind = trc::EventKind::UploadExhausted;
-                trc::Tracer::instance().record(te);
-                traceSync(trc::EventKind::Reject, ctx, it->second,
-                          event.client_id, ctx.round_start_ts,
-                          trc::Reason::UploadFailed);
-            }
+            const bool retry = event.kind == fault::FaultKind::UploadRetry;
+            if (!retry && event.kind != fault::FaultKind::UploadExhausted)
+                continue;
+            dispatch::trace(retry ? trc::EventKind::UploadRetry
+                                  : trc::EventKind::UploadExhausted,
+                            ctx.round, it->second, event.client_id,
+                            ctx.round_start_ts, trc::Reason::None,
+                            event.attempt, event.backoff_s);
+            if (!retry)
+                dispatch::trace(trc::EventKind::Reject, ctx.round,
+                                it->second, event.client_id,
+                                ctx.round_start_ts,
+                                trc::Reason::UploadFailed);
         }
     }
     for (const FaultEvent &event : events)
@@ -652,7 +506,6 @@ RoundEngine::stageStraggler(RoundContext &ctx)
         for (const ClientRoundReport &p : ctx.result.participants)
             slots.emplace(p.client_id, slot_of_client++);
         int rank = 0;
-        const bool traced = trc::enabled();
         while (!ctx.clock->empty()) {
             const fleet::FleetEvent event = ctx.clock->pop();
             auto it = slots.find(event.client_id);
@@ -660,16 +513,9 @@ RoundEngine::stageStraggler(RoundContext &ctx)
             ClientRoundReport &p = ctx.result.participants[it->second];
             p.arrival_ts = event.ts;
             p.arrival_rank = rank++;
-            if (traced) {
-                trc::TraceEvent e;
-                e.kind = trc::EventKind::Arrival;
-                e.round = ctx.round;
-                e.dispatch = it->second;
-                e.client = event.client_id;
-                e.virtual_ts = event.ts;
-                e.aux = p.arrival_rank;
-                trc::Tracer::instance().record(e);
-            }
+            dispatch::trace(trc::EventKind::Arrival, ctx.round, it->second,
+                            event.client_id, event.ts, trc::Reason::None,
+                            p.arrival_rank);
         }
     }
 
@@ -696,8 +542,9 @@ RoundEngine::stageStraggler(RoundContext &ctx)
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
             const ClientRoundReport &p = ctx.result.participants[i];
             if (p.dropped && !was_dropped[i])
-                traceSync(trc::EventKind::Reject, ctx, i, p.client_id,
-                          ctx.result.ts_end, trc::Reason::Straggler);
+                dispatch::trace(trc::EventKind::Reject, ctx.round, i,
+                                p.client_id, ctx.result.ts_end,
+                                trc::Reason::Straggler);
         }
     }
 }
@@ -734,9 +581,9 @@ RoundEngine::stageAggregate(RoundContext &ctx)
                     const ClientRoundReport &p =
                         ctx.result.participants[i];
                     if (!p.dropped)
-                        traceSync(trc::EventKind::Reject, ctx, i,
-                                  p.client_id, ctx.result.ts_end,
-                                  trc::Reason::Quorum);
+                        dispatch::trace(trc::EventKind::Reject, ctx.round,
+                                        i, p.client_id, ctx.result.ts_end,
+                                        trc::Reason::Quorum);
                 }
             }
             util::logWarn(
@@ -753,16 +600,10 @@ RoundEngine::stageAggregate(RoundContext &ctx)
     if (trc::enabled()) {
         for (std::size_t i = 0; i < ctx.result.participants.size(); ++i) {
             const ClientRoundReport &p = ctx.result.participants[i];
-            if (p.dropped)
-                continue;
-            trc::TraceEvent e;
-            e.kind = trc::EventKind::Fold;
-            e.round = ctx.round;
-            e.dispatch = i;
-            e.client = p.client_id;
-            e.virtual_ts = ctx.result.ts_end;
-            e.value = p.update_scale;
-            trc::Tracer::instance().record(e);
+            if (!p.dropped)
+                dispatch::trace(trc::EventKind::Fold, ctx.round, i,
+                                p.client_id, ctx.result.ts_end,
+                                trc::Reason::None, -1, p.update_scale);
         }
     }
     for (RoundObserver *o : observers_)
@@ -793,56 +634,11 @@ RoundEngine::stageEnergy(RoundContext &ctx)
         }
     }
 
-    // Fleet traffic totals (exact integer bytes; retransmissions from
-    // the Recover stage are already folded into each report).
-    const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
-    for (const auto &p : result.participants) {
-        result.bytes_up_total += p.bytes_up;
-        result.bytes_down_total += p.bytes_down;
-        if (ratio_hist_ != nullptr && p.bytes_up > 0)
-            ratio_hist_->add(comm::CommModel::compressionRatio(
-                full + static_cast<std::uint64_t>(p.upload_retries) * full,
-                p.bytes_up));
-    }
-    obs::addCount(bytes_up_counter_, result.bytes_up_total);
-    obs::addCount(bytes_down_counter_, result.bytes_down_total);
-    obs::addCount(
-        codec_up_counters_[static_cast<std::size_t>(ctx.result.codec)],
-        result.bytes_up_total);
-
     // Fleet-wide energy bookkeeping (Eqs. 4-6).
     for (const auto &p : result.participants)
         result.energy_participants += p.cost.e_total;
-
-    // Idle energy over the non-participants, without materializing a
-    // single client: a device's idle draw depends only on its tier, and
-    // tiers occupy three contiguous id ranges (device::categoryAt), so
-    // walking ids against the sorted participant set and adding the
-    // precomputed per-tier term replays the exact FP addition sequence
-    // of the old whole-fleet loop — ascending id, one add per idle
-    // device — at O(fleet) adds and O(1) per-device work.
-    const std::size_t fleet = ctx.store->size();
-    double idle_by_tier[device::kNumCategories];
-    for (std::size_t c = 0; c < device::kNumCategories; ++c) {
-        device::PowerModel power(
-            device::profileFor(static_cast<device::Category>(c)));
-        idle_by_tier[c] = power.idleEnergy(result.round_time);
-    }
-    std::vector<std::size_t> sorted_selected(ctx.selected);
-    std::sort(sorted_selected.begin(), sorted_selected.end());
-    const auto tiers = device::tierBoundaries(fleet);
-    std::size_t next_sel = 0;
-    std::size_t tier = 0;
-    for (std::size_t id = 0; id < fleet; ++id) {
-        while (tier + 1 < device::kNumCategories && id >= tiers[tier + 1])
-            ++tier;
-        if (next_sel < sorted_selected.size() &&
-            sorted_selected[next_sel] == id) {
-            ++next_sel;
-            continue;
-        }
-        result.energy_idle += idle_by_tier[tier];
-    }
+    result.energy_idle = dispatch::tierIdleEnergy(
+        ctx.store->size(), result.round_time, ctx.selected);
     result.energy_total = result.energy_participants + result.energy_idle;
 }
 

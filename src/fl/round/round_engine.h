@@ -109,14 +109,19 @@ class RoundEngine
     void stageSelect(RoundContext &ctx);
     void stageTrain(RoundContext &ctx);
     void stageEncode(RoundContext &ctx);
-    /** Emit one Encode trace event per uploading slot (tracing on). */
-    void traceEncodeStage(const RoundContext &ctx);
     void stageCost(RoundContext &ctx);
     void stageRecover(RoundContext &ctx);
     void stageStraggler(RoundContext &ctx);
     void stageAggregate(RoundContext &ctx);
     void stageEnergy(RoundContext &ctx);
     void stageEvaluate(RoundContext &ctx);
+
+    /**
+     * The epilogue run() and runEvents() share: traffic totals and
+     * counters, policy feedback, onDecision, the round counters,
+     * onRoundEnd, the RoundEnd trace event and the trace drain.
+     */
+    RoundResult endRound(RoundContext &ctx);
 
     /** Forward one fault event to every observer. */
     void fireFault(const RoundContext &ctx, const FaultEvent &event);

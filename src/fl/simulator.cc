@@ -6,7 +6,7 @@
 
 #include "data/synthetic.h"
 #include "device/cost_model.h"
-#include "device/power_model.h"
+#include "fl/dispatch.h"
 #include "runtime/runtime_config.h"
 #include "tensor/gemm.h"
 #include "util/logging.h"
@@ -194,7 +194,7 @@ FlSimulator::observe(const std::vector<std::size_t> &selected) const
         // Materialize on demand, advanced to the current round: the
         // observed interference/network states are bit-identical to
         // what an always-resident fleet would show.
-        const Client &c = store_->acquire(id, round_);
+        const fleet::Client &c = store_->acquire(id, round_);
         DeviceObservation obs;
         obs.client_id = id;
         obs.category = c.category();
@@ -212,21 +212,16 @@ double
 FlSimulator::predictedRoundTime(std::size_t client_id,
                                 const PerDeviceParams &params) const
 {
-    const Client &c = store_->acquire(client_id, round_);
-    device::LocalWorkSpec work;
-    work.train_flops_per_sample = train_flops_;
-    work.samples = c.shardSize();
-    work.batch = params.batch;
-    work.epochs = params.epochs;
-    work.param_bytes = param_bytes_;
-    // Predictions see the configured codec's payload (Identity yields
-    // exactly param_bytes, keeping the pre-codec numbers bit-identical).
-    work.upload_bytes =
-        codecFor(config_.comm.codec).payloadBytes(global_weights_.size());
-    auto cost = device::clientRoundCost(
-        device::profileFor(c.category()), device::costFor(config_.workload),
-        work, c.interference(), c.network());
-    return cost.t_round;
+    // Predictions see the configured codec's payload, priced exactly as
+    // a dispatch's cost report.
+    const comm::UpdateCodec &codec = codecFor(config_.comm.codec);
+    return dispatch::costReport(
+               store_->acquire(client_id, round_), params,
+               dispatch::uploadBytes(&codec, global_weights_.size(),
+                                     param_bytes_),
+               device::costFor(config_.workload), train_flops_,
+               param_bytes_)
+        .cost.t_round;
 }
 
 round::RoundContext
@@ -283,10 +278,7 @@ FlSimulator::makeRoundContext()
             }
             c.selected.push_back(id);
             c.params.push_back(c.params[slot]);
-            c.train_rngs.push_back(trainRng(id));
-            if (c.codec != nullptr &&
-                c.codec->kind() != comm::Codec::Identity)
-                c.comm_rngs.push_back(commRng(id));
+            fillRngs(c);
             return true;
         };
     }
@@ -307,26 +299,30 @@ FlSimulator::validateParams(const std::vector<PerDeviceParams> &params) const
 }
 
 void
-FlSimulator::fillTrainRngs(round::RoundContext &ctx) const
+FlSimulator::fillRngs(round::RoundContext &ctx) const
 {
-    ctx.train_rngs.reserve(ctx.selected.size());
-    for (std::size_t id : ctx.selected)
-        ctx.train_rngs.push_back(trainRng(id));
-}
-
-void
-FlSimulator::fillCommRngs(round::RoundContext &ctx) const
-{
-    if (ctx.codec == nullptr || ctx.codec->kind() == comm::Codec::Identity)
-        return;
-    ctx.comm_rngs.reserve(ctx.selected.size());
-    for (std::size_t id : ctx.selected)
-        ctx.comm_rngs.push_back(commRng(id));
+    // Comm streams only for a stochastic (non-Identity) codec, so
+    // default-configured rounds touch no extra randomness at all.
+    const bool encodes = dispatch::encoder(ctx.codec) != nullptr;
+    for (std::size_t i = ctx.train_rngs.size(); i < ctx.selected.size();
+         ++i) {
+        ctx.train_rngs.push_back(trainRng(ctx.selected[i]));
+        if (encodes)
+            ctx.comm_rngs.push_back(commRng(ctx.selected[i]));
+    }
 }
 
 RoundResult
 FlSimulator::runRound(optim::ParamOptimizer &policy)
 {
+    round::RoundContext ctx = makeRoundContext();
+    const auto assign = [this, &policy](const std::vector<std::size_t> &ids) {
+        std::vector<PerDeviceParams> params =
+            policy.assign(observe(ids), census_);
+        assert(params.size() == ids.size());
+        validateParams(params);
+        return params;
+    };
     if (pump_ != nullptr) {
         // Event-driven epoch: the pump owns selection (its persistent
         // stream) and calls ctx.assign for each newly chosen cohort;
@@ -334,47 +330,23 @@ FlSimulator::runRound(optim::ParamOptimizer &policy)
         // chosen once per epoch, up front — the event loop has no
         // single pre-dispatch observation point like the sync Select
         // stage, so the knob applies from this epoch's dispatches on.
-        round::RoundContext ctx = makeRoundContext();
-        const int fleet = static_cast<int>(store_->size());
-        const int k = policy.chooseClients(fleet);
-        ctx.requested_k =
-            static_cast<std::size_t>(std::clamp(k, 1, fleet));
+        const int k = policy.chooseClients(static_cast<int>(store_->size()));
+        ctx.requested_k = static_cast<std::size_t>(std::max(k, 1));
         ctx.codec = &codecFor(policy.chooseCodec(config_.comm.codec));
-        ctx.assign = [this,
-                      &policy](const std::vector<std::size_t> &ids) {
-            const auto observations = observe(ids);
-            auto params = policy.assign(observations, census_);
-            assert(params.size() == ids.size());
-            validateParams(params);
-            return params;
+        ctx.assign = assign;
+    } else {
+        ctx.select = [this, &policy, assign](round::RoundContext &c) {
+            c.selected = selectClients(policy.chooseClients(
+                static_cast<int>(store_->size())));
+            c.params = assign(c.selected);
+            // The codec is the round's fourth knob: policies that adapt
+            // it pick a level from the state assign() just observed; the
+            // default passthrough keeps the configured codec (and, with
+            // Identity, the pre-codec RNG consumption) untouched.
+            c.codec = &codecFor(policy.chooseCodec(config_.comm.codec));
+            fillRngs(c);
         };
-        ctx.feedback = [&policy](round::RoundContext &c) {
-            policy.feedback(c.result);
-            c.decision = policy.lastDecision();
-        };
-        RoundResult result = engine_->runEvents(ctx, *pump_);
-        store_->endRound();
-        last_accuracy_ = result.test_accuracy;
-        return result;
     }
-
-    round::RoundContext ctx = makeRoundContext();
-    ctx.select = [this, &policy](round::RoundContext &c) {
-        const int k =
-            policy.chooseClients(static_cast<int>(store_->size()));
-        c.selected = selectClients(k);
-        auto observations = observe(c.selected);
-        c.params = policy.assign(observations, census_);
-        assert(c.params.size() == c.selected.size());
-        validateParams(c.params);
-        // The codec is the round's fourth knob: policies that adapt it
-        // pick a level from the state assign() just observed; the
-        // default passthrough keeps the configured codec (and, with
-        // Identity, the pre-codec RNG consumption) untouched.
-        c.codec = &codecFor(policy.chooseCodec(config_.comm.codec));
-        fillTrainRngs(c);
-        fillCommRngs(c);
-    };
     // Feedback runs inside the engine (after Evaluate, before observers
     // see onRoundEnd) so the policy's decision record — reward terms
     // included — lands in the same round's trace line.
@@ -382,13 +354,7 @@ FlSimulator::runRound(optim::ParamOptimizer &policy)
         policy.feedback(c.result);
         c.decision = policy.lastDecision();
     };
-    RoundResult result = engine_->run(ctx);
-    // Between-round eviction: trim residency to the LRU cap, banking
-    // sticky comm residuals. References handed out during the round
-    // (store->resident) are dead past this point by design.
-    store_->endRound();
-    last_accuracy_ = result.test_accuracy;
-    return result;
+    return execute(ctx);
 }
 
 RoundResult
@@ -399,29 +365,31 @@ FlSimulator::runRoundWithParams(const GlobalParams &params)
                     std::to_string(params.batch) +
                     " E=" + std::to_string(params.epochs));
     }
-    if (pump_ != nullptr) {
-        round::RoundContext ctx = makeRoundContext();
-        const int fleet = static_cast<int>(store_->size());
-        ctx.requested_k = static_cast<std::size_t>(
-            std::clamp(params.clients, 1, fleet));
-        ctx.assign = [&params](const std::vector<std::size_t> &ids) {
-            return std::vector<PerDeviceParams>(
-                ids.size(), PerDeviceParams{params.batch, params.epochs});
-        };
-        RoundResult result = engine_->runEvents(ctx, *pump_);
-        store_->endRound();
-        last_accuracy_ = result.test_accuracy;
-        return result;
-    }
+    const PerDeviceParams each{params.batch, params.epochs};
     round::RoundContext ctx = makeRoundContext();
-    ctx.select = [this, &params](round::RoundContext &c) {
-        c.selected = selectClients(params.clients);
-        c.params.assign(c.selected.size(),
-                        PerDeviceParams{params.batch, params.epochs});
-        fillTrainRngs(c);
-        fillCommRngs(c);
-    };
-    RoundResult result = engine_->run(ctx);
+    if (pump_ != nullptr) {
+        ctx.requested_k = static_cast<std::size_t>(std::max(params.clients, 1));
+        ctx.assign = [each](const std::vector<std::size_t> &ids) {
+            return std::vector<PerDeviceParams>(ids.size(), each);
+        };
+    } else {
+        ctx.select = [this, each, k = params.clients](round::RoundContext &c) {
+            c.selected = selectClients(k);
+            c.params.assign(c.selected.size(), each);
+            fillRngs(c);
+        };
+    }
+    return execute(ctx);
+}
+
+RoundResult
+FlSimulator::execute(round::RoundContext &ctx)
+{
+    RoundResult result = pump_ != nullptr ? engine_->runEvents(ctx, *pump_)
+                                          : engine_->run(ctx);
+    // Between-round eviction: trim residency to the LRU cap, banking
+    // sticky comm residuals. References handed out during the round
+    // (store->resident) are dead past this point by design.
     store_->endRound();
     last_accuracy_ = result.test_accuracy;
     return result;

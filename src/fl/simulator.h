@@ -8,8 +8,8 @@
  * time and energy come from the device cost model (Eqs. 2-4), never from
  * host timing. One simulator instance owns the global model, the fleet,
  * the shared data store, and a round::RoundEngine that executes each
- * round as a staged pipeline (Select -> Train -> Cost -> Recover ->
- * Straggler -> Aggregate -> Energy -> Evaluate) with pluggable
+ * round as a staged pipeline (Select -> Train -> Encode -> Cost ->
+ * Recover -> Straggler -> Aggregate -> Energy -> Evaluate) with pluggable
  * aggregation/recovery/straggler strategies, seeded fault injection
  * (FlConfig::faults; inert by default), and an observer event stream.
  */
@@ -28,9 +28,9 @@
 #include "fault/fault_model.h"
 #include "fl/async/event_pump.h"
 #include "fl/async/protocol.h"
-#include "fl/client.h"
 #include "fl/round/round_engine.h"
 #include "fl/types.h"
+#include "fleet/client.h"
 #include "fleet/client_store.h"
 #include "fleet/fleet_config.h"
 #include "fleet/virtual_clock.h"
@@ -121,7 +121,7 @@ class FlSimulator
      * client at the current round when it is not resident; the
      * reference stays valid until the next round completes.
      */
-    const Client &client(std::size_t i) const
+    const fleet::Client &client(std::size_t i) const
     {
         return store_->acquire(i, round_);
     }
@@ -231,15 +231,17 @@ class FlSimulator
      */
     round::RoundContext makeRoundContext();
 
-    /** Fill ctx.train_rngs for the already-made selection. */
-    void fillTrainRngs(round::RoundContext &ctx) const;
+    /**
+     * Append the train (and, under a stochastic codec, comm) streams of
+     * every selected slot that has none yet.
+     */
+    void fillRngs(round::RoundContext &ctx) const;
 
     /**
-     * Fill ctx.comm_rngs for the already-made selection when the
-     * round's codec is stochastic (non-Identity); no-op otherwise, so
-     * default-configured rounds touch no extra randomness at all.
+     * Run the prepared context — a sync round, or an event-driven epoch
+     * when the pump exists — then evict between rounds.
      */
-    void fillCommRngs(round::RoundContext &ctx) const;
+    RoundResult execute(round::RoundContext &ctx);
 
     /** Reject non-positive per-device (B, E) with a clear fatal error. */
     void validateParams(const std::vector<PerDeviceParams> &params) const;

@@ -5,8 +5,7 @@
  * FedAvg's ClientUpdate (Algorithm 1).
  *
  * Lives in the fleet layer so the ClientStore can materialize, advance,
- * and evict client instances without going through the fl round pipeline;
- * fl/client.h re-exports the type under its historical name.
+ * and evict client instances without going through the fl round pipeline.
  */
 
 #ifndef FEDGPO_FLEET_CLIENT_H_
@@ -116,8 +115,8 @@ class Client
      * codecs (comm::TopKCodec): the untransmitted remainder of past
      * updates, re-offered on the next participation. Empty until the
      * client first encodes under such a codec. Mutable access is safe
-     * under the round pipeline's parallel Encode fan-out because a
-     * client participates at most once per round. Sticky state: the
+     * in concurrent training jobs (fl/dispatch.h) because a client has
+     * at most one dispatch in flight. Sticky state: the
      * ClientStore banks it across eviction and restores it on
      * re-materialization, so an LRU cap never loses a residual.
      */

@@ -15,10 +15,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "device/cost_model.h"
 #include "fl/async/protocol.h"
 #include "fl/async/staleness.h"
+#include "fl/dispatch.h"
 #include "fl/round/observer.h"
 #include "fl/simulator.h"
+#include "obs/metrics.h"
 #include "util/logging.h"
 
 using namespace fedgpo;
@@ -314,6 +317,130 @@ TEST(AsyncProtocol, UploadRetriesDelayArrival)
         retries += sim.runRoundWithParams(GlobalParams{8, 1, 5})
                        .upload_retries;
     EXPECT_GT(retries, 0u);
+}
+
+std::uint64_t
+uploadingReports(const RoundResult &r)
+{
+    std::uint64_t n = 0;
+    for (const ClientRoundReport &p : r.participants)
+        if (p.bytes_up > 0)
+            ++n;
+    return n;
+}
+
+TEST(AsyncProtocol, Int8EpochsCountEncodedUpdatesLikeSync)
+{
+    // Both engines share the round epilogue's traffic accounting: every
+    // report that uploaded went through the codec, and each one lands
+    // in the comm.compression_ratio histogram.
+    for (const ProtocolMode mode : {ProtocolMode::Sync, ProtocolMode::Async}) {
+        SCOPED_TRACE(protocolModeName(mode));
+        obs::ScopedLevel level(obs::Level::Basic);
+        obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
+        reg.reset();
+        std::uint64_t uploads = 0;
+        {
+            FlConfig c = asyncConfig(mode);
+            c.n_devices = 20;
+            c.comm.codec = comm::Codec::Int8Quant;
+            FlSimulator sim(c);
+            for (int i = 0; i < 2; ++i)
+                uploads += uploadingReports(
+                    sim.runRoundWithParams(GlobalParams{8, 1, 5}));
+        }
+        EXPECT_GT(uploads, 0u);
+        EXPECT_EQ(reg.counter("comm.encoded_updates")->value(), uploads);
+        const obs::Histogram::Snapshot ratios =
+            reg.histogram("comm.compression_ratio", {})->snapshot();
+        EXPECT_EQ(ratios.stat.count(), uploads);
+        EXPECT_GT(ratios.stat.mean(), 3.0) << "int8 ships ~1 byte/param";
+        reg.reset();
+    }
+}
+
+// ---- Differential: both engines and the oracle price alike. -----------
+
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+}
+
+void
+expectSameCost(const device::RoundCost &a, const device::RoundCost &b)
+{
+    EXPECT_EQ(bits(a.t_comp), bits(b.t_comp));
+    EXPECT_EQ(bits(a.t_comm), bits(b.t_comm));
+    EXPECT_EQ(bits(a.t_comm_down), bits(b.t_comm_down));
+    EXPECT_EQ(bits(a.t_comm_up), bits(b.t_comm_up));
+    EXPECT_EQ(bits(a.t_round), bits(b.t_round));
+    EXPECT_EQ(bits(a.e_comp), bits(b.e_comp));
+    EXPECT_EQ(bits(a.e_comm), bits(b.e_comm));
+    EXPECT_EQ(bits(a.e_wait), bits(b.e_wait));
+    EXPECT_EQ(bits(a.e_total), bits(b.e_total));
+}
+
+TEST(EngineDifferential, KeptReportsPriceAsPredictedRoundTime)
+{
+    // One fault-free Identity round per engine (an Async epoch's
+    // reports were all dispatched in it): every kept report's t_round
+    // is bit-for-bit the oracle's prediction for that client and (B, E).
+    for (const ProtocolMode mode : {ProtocolMode::Sync, ProtocolMode::Async}) {
+        SCOPED_TRACE(protocolModeName(mode));
+        FlSimulator sim(asyncConfig(mode));
+        const RoundResult r = sim.runRoundWithParams(GlobalParams{8, 2, 6});
+        std::size_t kept = 0;
+        for (const ClientRoundReport &p : r.participants) {
+            if (p.dropped)
+                continue;
+            ++kept;
+            EXPECT_EQ(bits(p.cost.t_round),
+                      bits(sim.predictedRoundTime(p.client_id, p.params)))
+                << "client " << p.client_id;
+        }
+        EXPECT_GE(kept, 6u);
+    }
+}
+
+TEST(EngineDifferential, CrashAndChurnProrateAlike)
+{
+    // A sync crash and an async churn at the same fraction must leave
+    // the same cost: re-derive each engine's dropped report through the
+    // other engine's drop reason and compare every cost field.
+    FlConfig sync_config = asyncConfig(ProtocolMode::Sync);
+    sync_config.faults.crash_rate = 0.5;
+    FlConfig async_config = asyncConfig(ProtocolMode::Async);
+    async_config.faults.churn_rate = 0.5;
+    const struct
+    {
+        FlConfig config;
+        DropReason seen;
+        DropReason other;
+    } cases[] = {{sync_config, DropReason::Crashed, DropReason::Churned},
+                 {async_config, DropReason::Churned, DropReason::Crashed}};
+    for (const auto &tc : cases) {
+        SCOPED_TRACE(dropReasonName(tc.seen));
+        FlSimulator sim(tc.config);
+        const RoundResult r = sim.runRoundWithParams(GlobalParams{8, 2, 6});
+        std::size_t prorated = 0;
+        for (const ClientRoundReport &p : r.participants) {
+            if (p.drop_reason != tc.seen)
+                continue;
+            ++prorated;
+            ClientRoundReport other = dispatch::costReport(
+                sim.client(p.client_id), p.params, 0,
+                device::costFor(tc.config.workload),
+                sim.trainFlopsPerSample(), sim.paramBytes());
+            dispatch::prorate(other, p.update_scale, tc.other);
+            expectSameCost(p.cost, other.cost);
+            EXPECT_EQ(bits(other.update_scale), bits(p.update_scale));
+            EXPECT_TRUE(other.dropped);
+        }
+        EXPECT_GT(prorated, 0u) << "rate 0.5 over 6+ dispatches must fire";
+    }
 }
 
 // ---- Buffered protocol behavior. --------------------------------------

@@ -331,8 +331,6 @@ TEST(RetryBackoffPolicy, RetransmitsEncodedPayloadBytes)
     const std::uint64_t encoded_bytes = 2516; // e.g. int8: n + scales
     comm::CommRecord record;
     record.bytes_up = encoded_bytes;
-    record.bytes_down = ctx.param_bytes;
-    record.encoded = true;
     ctx.comm.push_back(record);
     ctx.result.participants[0].bytes_up = encoded_bytes;
 

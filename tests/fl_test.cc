@@ -9,9 +9,9 @@
 #include <cmath>
 
 #include "data/synthetic.h"
-#include "fl/client.h"
 #include "fl/convergence.h"
 #include "fl/types.h"
+#include "fleet/client.h"
 #include "models/zoo.h"
 #include "util/rng.h"
 
@@ -68,8 +68,8 @@ class ClientTest : public ::testing::Test
 
 TEST_F(ClientTest, LocalTrainReturnsFullWeightVector)
 {
-    Client client(0, device::Category::High, shard_,
-                  device::InterferenceProcess(false), util::Rng(2));
+    fleet::Client client(0, device::Category::High, shard_,
+                         device::InterferenceProcess(false), util::Rng(2));
     auto model = models::buildModel(models::Workload::CnnMnist, 3);
     util::Rng train_rng(20);
     auto result = client.localTrain(*model, train_rng, dataset_,
@@ -82,8 +82,8 @@ TEST_F(ClientTest, LocalTrainReturnsFullWeightVector)
 
 TEST_F(ClientTest, TrainingChangesWeights)
 {
-    Client client(0, device::Category::Mid, shard_,
-                  device::InterferenceProcess(false), util::Rng(4));
+    fleet::Client client(0, device::Category::Mid, shard_,
+                         device::InterferenceProcess(false), util::Rng(4));
     auto model = models::buildModel(models::Workload::CnnMnist, 3);
     auto before = model->saveParams();
     util::Rng train_rng(21);
@@ -97,10 +97,10 @@ TEST_F(ClientTest, MoreEpochsLowerLocalLoss)
 {
     auto model1 = models::buildModel(models::Workload::CnnMnist, 3);
     auto model2 = models::buildModel(models::Workload::CnnMnist, 3);
-    Client c1(0, device::Category::High, shard_,
-              device::InterferenceProcess(false), util::Rng(5));
-    Client c2(0, device::Category::High, shard_,
-              device::InterferenceProcess(false), util::Rng(5));
+    fleet::Client c1(0, device::Category::High, shard_,
+                     device::InterferenceProcess(false), util::Rng(5));
+    fleet::Client c2(0, device::Category::High, shard_,
+                     device::InterferenceProcess(false), util::Rng(5));
     util::Rng rng1(22), rng10(22);
     auto r1 = c1.localTrain(*model1, rng1, dataset_, PerDeviceParams{8, 1},
                             0.05);
@@ -111,8 +111,8 @@ TEST_F(ClientTest, MoreEpochsLowerLocalLoss)
 
 TEST_F(ClientTest, RuntimeStateAdvances)
 {
-    Client client(0, device::Category::Low, shard_,
-                  device::InterferenceProcess(true, 1.0), util::Rng(6));
+    fleet::Client client(0, device::Category::Low, shard_,
+                         device::InterferenceProcess(true, 1.0), util::Rng(6));
     device::NetworkModel net(false);
     client.stepRuntime(net);
     EXPECT_GT(client.network().bandwidth_mbps, 0.0);
@@ -120,8 +120,8 @@ TEST_F(ClientTest, RuntimeStateAdvances)
 
 TEST_F(ClientTest, BatchLargerThanShardStillTrains)
 {
-    Client client(0, device::Category::High, shard_,
-                  device::InterferenceProcess(false), util::Rng(7));
+    fleet::Client client(0, device::Category::High, shard_,
+                         device::InterferenceProcess(false), util::Rng(7));
     auto model = models::buildModel(models::Workload::CnnMnist, 3);
     util::Rng train_rng(23);
     auto result = client.localTrain(*model, train_rng, dataset_,
