@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "comm/codec.h"
+#include "comm/comm_model.h"
 #include "fl/round/round_context.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -90,13 +91,11 @@ JsonlTraceWriter::onClientReport(const RoundContext &ctx,
          "\"";
     // Retransmissions inflate both sides the same way, so the ratio
     // stays the codec's, not the fault model's.
-    const double ratio =
-        report.bytes_up > 0
-            ? static_cast<double>(ctx.param_bytes) *
-                  static_cast<double>(1 + report.upload_retries) /
-                  static_cast<double>(report.bytes_up)
-            : 0.0;
-    r += ",\"compression_ratio\":" + num(ratio);
+    const std::uint64_t full = static_cast<std::uint64_t>(ctx.param_bytes);
+    r += ",\"compression_ratio\":" +
+         num(comm::CommModel::compressionRatio(
+             full + static_cast<std::uint64_t>(report.upload_retries) * full,
+             report.bytes_up));
     // Virtual-clock arrival annotation (-1: the update never arrives).
     r += ",\"arrival_ts\":" + num(report.arrival_ts);
     r += ",\"arrival_rank\":" + std::to_string(report.arrival_rank);

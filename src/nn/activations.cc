@@ -24,7 +24,7 @@ ReLU::forward(const Tensor &in, bool train)
 }
 
 const Tensor &
-ReLU::backward(const Tensor &grad_out)
+ReLU::backprop(const Tensor &grad_out, bool)
 {
     assert(grad_out.shape() == out_buf_.shape());
     if (grad_in_.shape() != grad_out.shape())
@@ -64,7 +64,7 @@ Tanh::forward(const Tensor &in, bool train)
 }
 
 const Tensor &
-Tanh::backward(const Tensor &grad_out)
+Tanh::backprop(const Tensor &grad_out, bool)
 {
     assert(grad_out.shape() == out_buf_.shape());
     if (grad_in_.shape() != grad_out.shape())
@@ -102,7 +102,7 @@ Flatten::forward(const Tensor &in, bool train)
 }
 
 const Tensor &
-Flatten::backward(const Tensor &grad_out)
+Flatten::backprop(const Tensor &grad_out, bool)
 {
     assert(grad_out.numel() == tensor::shapeNumel(cached_shape_));
     if (grad_in_.shape() != cached_shape_)

@@ -22,10 +22,11 @@ class ReLU : public Layer
     std::string name() const override { return "relu"; }
     LayerKind kind() const override { return LayerKind::Activation; }
     const Tensor &forward(const Tensor &in, bool train) override;
-    const Tensor &backward(const Tensor &grad_out) override;
     std::uint64_t flopsPerSample() const override;
 
   private:
+    const Tensor &backprop(const Tensor &grad_out,
+                           bool input_grad) override;
     Tensor out_buf_;
     Tensor grad_in_;
     std::size_t cached_batch_ = 1;
@@ -42,10 +43,11 @@ class Tanh : public Layer
     std::string name() const override { return "tanh"; }
     LayerKind kind() const override { return LayerKind::Activation; }
     const Tensor &forward(const Tensor &in, bool train) override;
-    const Tensor &backward(const Tensor &grad_out) override;
     std::uint64_t flopsPerSample() const override;
 
   private:
+    const Tensor &backprop(const Tensor &grad_out,
+                           bool input_grad) override;
     Tensor out_buf_;
     Tensor grad_in_;
     std::size_t cached_batch_ = 1;
@@ -62,10 +64,11 @@ class Flatten : public Layer
     std::string name() const override { return "flatten"; }
     LayerKind kind() const override { return LayerKind::Reshape; }
     const Tensor &forward(const Tensor &in, bool train) override;
-    const Tensor &backward(const Tensor &grad_out) override;
     std::uint64_t flopsPerSample() const override { return 0; }
 
   private:
+    const Tensor &backprop(const Tensor &grad_out,
+                           bool input_grad) override;
     Tensor out_buf_;
     Tensor grad_in_;
     tensor::Shape cached_shape_;

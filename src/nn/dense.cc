@@ -34,7 +34,7 @@ Dense::forward(const Tensor &in, bool train)
 }
 
 const Tensor &
-Dense::backward(const Tensor &grad_out)
+Dense::backprop(const Tensor &grad_out, bool input_grad)
 {
     assert(cached_in_ != nullptr);
     assert(grad_out.ndim() == 2 && grad_out.dim(1) == out_);
@@ -50,7 +50,8 @@ Dense::backward(const Tensor &grad_out)
     for (std::size_t r = 0; r < n; ++r)
         for (std::size_t c = 0; c < out_; ++c)
             pdb[c] += pg[r * out_ + c];
-    tensor::matmulTransB(grad_out, w_, grad_in_);
+    if (input_grad)
+        tensor::matmulTransB(grad_out, w_, grad_in_);
     return grad_in_;
 }
 

@@ -28,7 +28,6 @@ class Dense : public Layer
     std::string name() const override;
     LayerKind kind() const override { return LayerKind::Dense; }
     const Tensor &forward(const Tensor &in, bool train) override;
-    const Tensor &backward(const Tensor &grad_out) override;
     std::vector<Tensor *> params() override { return {&w_, &b_}; }
     std::vector<Tensor *> grads() override { return {&dw_, &db_}; }
     std::uint64_t flopsPerSample() const override;
@@ -37,6 +36,8 @@ class Dense : public Layer
     std::size_t outFeatures() const { return out_; }
 
   private:
+    const Tensor &backprop(const Tensor &grad_out,
+                           bool input_grad) override;
     std::size_t in_;
     std::size_t out_;
     Tensor w_;   //!< [in, out]

@@ -132,58 +132,18 @@ DepthwiseConv2D::forward(const Tensor &in, bool train)
 }
 
 const Tensor &
-DepthwiseConv2D::backward(const Tensor &grad_out)
+DepthwiseConv2D::backprop(const Tensor &grad_out, bool input_grad)
 {
     assert(cached_in_ != nullptr);
     const Tensor &in = *cached_in_;
     const std::size_t n = in.dim(0);
     assert(grad_out.ndim() == 4 && grad_out.dim(0) == n);
     assert(grad_out.dim(1) == c_);
-    if (grad_in_.ndim() != 4 || grad_in_.dim(0) != n)
-        grad_in_ = Tensor({n, c_, in_h_, in_w_});
-    grad_in_.zero();
     const std::size_t k = k_, s = stride_, pad = pad_;
     const std::size_t plane = in_h_ * in_w_, oplane = oh_ * ow_;
 
-    // dx: every element starts at +0 and adds its taps in descending
-    // (ky, kx) order, the order in which an ascending (oy, ox) scatter
-    // delivers them. One tap per pass, laid out as in forward().
-    const bool flat = s == 1 && ow_ == in_w_;
-    for (std::size_t p = 0; p < n * c_; ++p) {
-        const std::size_t ch = p % c_;
-        const float *dy = grad_out.data() + p * oplane;
-        const float *f = weights_.data() + ch * k * k;
-        float *dx = grad_in_.data() + p * plane;
-        for (std::size_t ky = k; ky-- > 0;) {
-            std::size_t r0, r1;
-            tapRange(ky, in_h_, oh_, s, pad, r0, r1);
-            for (std::size_t kx = k; kx-- > 0 && r0 < r1;) {
-                std::size_t lo, hi;
-                tapRange(kx, in_w_, ow_, s, pad, lo, hi);
-                if (lo == hi)
-                    continue;
-                const float fv = f[ky * k + kx];
-                // In flat mode the x rows of this tap are r0 + ky - pad on,
-                // and its x columns lo + kx - pad up to hi + kx - pad.
-                const std::size_t xr0 = r0 + ky - pad, xlo = lo + kx - pad;
-                if (flat)
-                    borderColumns(dx, in_w_, xr0, xr0 + r1 - r0, xlo,
-                                  xlo + hi - lo, saved_.data(), false);
-                for (std::size_t r = r0; r < r1; r = flat ? r1 : r + 1) {
-                    const std::size_t count =
-                        ((flat ? r1 - 1 : r) - r) * ow_ + hi - lo;
-                    float *__restrict dp =
-                        dx + ((r * s + ky - pad) * in_w_ + lo * s + kx - pad);
-                    const float *__restrict gp = dy + (r * ow_ + lo);
-                    for (std::size_t i = 0; i < count; ++i)
-                        dp[i * s] += gp[i] * fv;
-                }
-                if (flat)
-                    borderColumns(dx, in_w_, xr0, xr0 + r1 - r0, xlo,
-                                  xlo + hi - lo, saved_.data(), true);
-            }
-        }
-    }
+    if (input_grad)
+        inputGrad(grad_out);
 
     // df, db: one chain per (channel, tap) and one per channel for the
     // bias, each ascending (img, oy, ox) over the positions where it is
@@ -242,6 +202,57 @@ DepthwiseConv2D::backward(const Tensor &grad_out)
         }
     }
     return grad_in_;
+}
+
+void
+DepthwiseConv2D::inputGrad(const Tensor &grad_out)
+{
+    const std::size_t n = grad_out.dim(0);
+    if (grad_in_.ndim() != 4 || grad_in_.dim(0) != n)
+        grad_in_ = Tensor({n, c_, in_h_, in_w_});
+    grad_in_.zero();
+    const std::size_t k = k_, s = stride_, pad = pad_;
+    const std::size_t plane = in_h_ * in_w_, oplane = oh_ * ow_;
+
+    // dx: every element starts at +0 and adds its taps in descending
+    // (ky, kx) order, the order in which an ascending (oy, ox) scatter
+    // delivers them. One tap per pass, laid out as in forward().
+    const bool flat = s == 1 && ow_ == in_w_;
+    for (std::size_t p = 0; p < n * c_; ++p) {
+        const std::size_t ch = p % c_;
+        const float *dy = grad_out.data() + p * oplane;
+        const float *f = weights_.data() + ch * k * k;
+        float *dx = grad_in_.data() + p * plane;
+        for (std::size_t ky = k; ky-- > 0;) {
+            std::size_t r0, r1;
+            tapRange(ky, in_h_, oh_, s, pad, r0, r1);
+            for (std::size_t kx = k; kx-- > 0 && r0 < r1;) {
+                std::size_t lo, hi;
+                tapRange(kx, in_w_, ow_, s, pad, lo, hi);
+                if (lo == hi)
+                    continue;
+                const float fv = f[ky * k + kx];
+                // In flat mode the x rows of this tap are r0 + ky - pad on,
+                // and its x columns lo + kx - pad up to hi + kx - pad.
+                const std::size_t xr0 = r0 + ky - pad, xlo = lo + kx - pad;
+                if (flat)
+                    borderColumns(dx, in_w_, xr0, xr0 + r1 - r0, xlo,
+                                  xlo + hi - lo, saved_.data(), false);
+                for (std::size_t r = r0; r < r1; r = flat ? r1 : r + 1) {
+                    const std::size_t count =
+                        ((flat ? r1 - 1 : r) - r) * ow_ + hi - lo;
+                    float *__restrict dp =
+                        dx + ((r * s + ky - pad) * in_w_ + lo * s + kx - pad);
+                    const float *__restrict gp = dy + (r * ow_ + lo);
+                    for (std::size_t i = 0; i < count; ++i)
+                        dp[i * s] += gp[i] * fv;
+                }
+                if (flat)
+                    borderColumns(dx, in_w_, xr0, xr0 + r1 - r0, xlo,
+                                  xlo + hi - lo, saved_.data(), true);
+            }
+        }
+    }
 }
 
 std::uint64_t

@@ -40,7 +40,6 @@ class DepthwiseConv2D : public Layer
     std::string name() const override;
     LayerKind kind() const override { return LayerKind::Conv; }
     const Tensor &forward(const Tensor &in, bool train) override;
-    const Tensor &backward(const Tensor &grad_out) override;
     std::vector<Tensor *> params() override { return {&weights_, &b_}; }
     std::vector<Tensor *> grads() override { return {&dw_, &db_}; }
     std::uint64_t flopsPerSample() const override;
@@ -49,6 +48,10 @@ class DepthwiseConv2D : public Layer
     std::size_t outWidth() const { return ow_; }
 
   private:
+    const Tensor &backprop(const Tensor &grad_out,
+                           bool input_grad) override;
+    /** dx into grad_in_, the part of backprop() that input_grad gates. */
+    void inputGrad(const Tensor &grad_out);
     std::size_t c_, k_, in_h_, in_w_, stride_, pad_;
     std::size_t oh_, ow_;
     Tensor weights_; //!< [c, k, k]

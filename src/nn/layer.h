@@ -5,10 +5,10 @@
  * Contract: forward(x) returns a reference to an internal output buffer
  * and caches what backward needs; backward(dy) must be called with the
  * gradient w.r.t. that output while the input passed to the immediately
- * preceding forward is still alive and unmodified. Model enforces this by
- * owning the full activation chain. Layers own their parameters and the
- * matching gradient buffers; gradients accumulate across backward calls
- * until zeroGrad().
+ * preceding forward is still alive and unmodified (backwardParams(dy)
+ * likewise). Model enforces this by owning the full activation chain.
+ * Layers own their parameters and the matching gradient buffers;
+ * gradients accumulate across backward calls until zeroGrad().
  */
 
 #ifndef FEDGPO_NN_LAYER_H_
@@ -73,7 +73,22 @@ class Layer
      * input of the preceding forward() call. The returned reference is
      * owned by the layer and valid until the next backward() call.
      */
-    virtual const Tensor &backward(const Tensor &grad_out) = 0;
+    const Tensor &backward(const Tensor &grad_out)
+    {
+        return backprop(grad_out, /*input_grad=*/true);
+    }
+
+    /**
+     * Backpropagate into the parameter gradients only.
+     *
+     * Accumulates exactly what backward() accumulates, bit for bit, but
+     * skips the input gradient. Model::trainStep calls this on its first
+     * layer with parameters: nothing reads that layer's input gradient.
+     */
+    void backwardParams(const Tensor &grad_out)
+    {
+        backprop(grad_out, /*input_grad=*/false);
+    }
 
     /** Mutable views of the parameter tensors (possibly empty). */
     virtual std::vector<Tensor *> params() { return {}; }
@@ -93,6 +108,15 @@ class Layer
      * no arithmetic return 0.
      */
     virtual std::uint64_t flopsPerSample() const = 0;
+
+  private:
+    /**
+     * The one backward pass behind backward() and backwardParams(): the
+     * parameter gradients always, the input gradient when `input_grad`
+     * is set. Without it the returned tensor's contents are unspecified.
+     */
+    virtual const Tensor &backprop(const Tensor &grad_out,
+                                   bool input_grad) = 0;
 };
 
 } // namespace nn

@@ -1,5 +1,6 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -23,7 +24,8 @@ LSTM::LSTM(std::size_t in, std::size_t hidden, std::size_t steps,
            util::Rng &rng)
     : in_(in), hidden_(hidden), steps_(steps),
       wx_({in, 4 * hidden}), wh_({hidden, 4 * hidden}), b_({4 * hidden}),
-      dwx_({in, 4 * hidden}), dwh_({hidden, 4 * hidden}), db_({4 * hidden})
+      dwx_({in, 4 * hidden}), dwh_({hidden, 4 * hidden}), db_({4 * hidden}),
+      wh_t_({4 * hidden, hidden})
 {
     xavierUniform(wx_, in, 4 * hidden, rng);
     xavierUniform(wh_, hidden, 4 * hidden, rng);
@@ -52,7 +54,7 @@ LSTM::forward(const Tensor &in, bool train)
     if (alloc_n_ != n) {
         // First call, or the batch shape changed: (re)build the step
         // caches. Subsequent same-shape calls reuse every buffer.
-        xs_.assign(steps_, Tensor({n, in_}));
+        x_ = Tensor({n * steps_, in_});
         hs_.assign(steps_ + 1, Tensor({n, hidden_}));
         cs_.assign(steps_ + 1, Tensor({n, hidden_}));
         gates_.assign(steps_, Tensor({n, h4}));
@@ -65,17 +67,16 @@ LSTM::forward(const Tensor &in, bool train)
         cs_[0].zero();
     }
 
+    // The [n, T, in] batch is a row-major [n*T, in] matrix with rows in
+    // (r, t) order, so one GEMM projects the input of every step. Each
+    // element folds its k-chain from +0 in ascending k whatever the row
+    // count, exactly as one GEMM per step would.
+    std::copy(in.data(), in.data() + in.numel(), x_.data());
+    tensor::matmul(x_, wx_, pre_x_);
+
     for (std::size_t t = 0; t < steps_; ++t) {
-        // Slice x_t out of the [n, T, in] batch.
-        for (std::size_t r = 0; r < n; ++r) {
-            const float *src = in.data() + (r * steps_ + t) * in_;
-            float *dst = xs_[t].data() + r * in_;
-            std::copy(src, src + in_, dst);
-        }
-        tensor::matmul(xs_[t], wx_, pre_x_);
         tensor::matmul(hs_[t], wh_, pre_h_);
         float *pg = gates_[t].data();
-        const float *px = pre_x_.data();
         const float *ph = pre_h_.data();
         const float *pb = b_.data();
         const float *pc_prev = cs_[t].data();
@@ -84,8 +85,9 @@ LSTM::forward(const Tensor &in, bool train)
         float *ptc = tanh_c_[t].data();
         for (std::size_t r = 0; r < n; ++r) {
             const std::size_t row = r * h4;
+            const float *px = pre_x_.data() + (r * steps_ + t) * h4;
             for (std::size_t j = 0; j < h4; ++j) {
-                float pre = px[row + j] + ph[row + j] + pb[j];
+                float pre = px[j] + ph[row + j] + pb[j];
                 // Gate order i, f, g, o along the packed axis.
                 if (j >= 2 * hidden_ && j < 3 * hidden_)
                     pg[row + j] = std::tanh(pre);
@@ -110,7 +112,7 @@ LSTM::forward(const Tensor &in, bool train)
 }
 
 const Tensor &
-LSTM::backward(const Tensor &grad_out)
+LSTM::backprop(const Tensor &grad_out, bool input_grad)
 {
     const std::size_t n = cached_n_;
     assert(n > 0);
@@ -118,19 +120,26 @@ LSTM::backward(const Tensor &grad_out)
     assert(grad_out.dim(1) == hidden_);
     const std::size_t h4 = 4 * hidden_;
 
-    if (grad_in_.ndim() != 3 || grad_in_.dim(0) != n)
-        grad_in_ = Tensor({n, steps_, in_});
-    grad_in_.zero();
-
     if (dh_.ndim() != 2 || dh_.dim(0) != n) {
         dh_ = Tensor({n, hidden_});
         dc_ = Tensor({n, hidden_});
         dpre_ = Tensor({n, h4});
+        xt_ = Tensor({n, in_});
     } else {
         dc_.zero();
-        // dpre_ is fully overwritten each timestep before it is read.
+        // dpre_ and xt_ are fully overwritten each timestep before they
+        // are read.
     }
+    if (input_grad && (dpres_.ndim() != 2 || dpres_.dim(0) != n * steps_))
+        dpres_ = Tensor({n * steps_, h4});
     std::copy(grad_out.data(), grad_out.data() + n * hidden_, dh_.data());
+
+    // Wh^T once per pass, so the per-step hidden gradient is a plain
+    // matmul that packs contiguous rows of it. The products and their
+    // order are those of matmulTransB(dpre_, wh_).
+    for (std::size_t i = 0; i < hidden_; ++i)
+        for (std::size_t j = 0; j < h4; ++j)
+            wh_t_[j * hidden_ + i] = wh_[i * h4 + j];
 
     for (std::size_t t = steps_; t-- > 0;) {
         const float *pg = gates_[t].data();
@@ -168,9 +177,14 @@ LSTM::backward(const Tensor &grad_out)
                 pdc[idx] = d_c * gf[j];
             }
         }
+        // x_t, gathered from the (r, t)-ordered input rows.
+        for (std::size_t r = 0; r < n; ++r) {
+            const float *src = x_.data() + (r * steps_ + t) * in_;
+            std::copy(src, src + in_, xt_.data() + r * in_);
+        }
         // Parameter gradients, each into its own stable-shape scratch so
         // no buffer is reshaped (reallocated) between the three GEMMs.
-        tensor::matmulTransA(xs_[t], dpre_, dwx_step_);
+        tensor::matmulTransA(xt_, dpre_, dwx_step_);
         dwx_ += dwx_step_;
         tensor::matmulTransA(hs_[t], dpre_, dwh_step_);
         dwh_ += dwh_step_;
@@ -178,17 +192,26 @@ LSTM::backward(const Tensor &grad_out)
         for (std::size_t r = 0; r < n; ++r)
             for (std::size_t j = 0; j < h4; ++j)
                 pdb[j] += pdp[r * h4 + j];
-        // Input gradient slice.
-        tensor::matmulTransB(dpre_, wx_, dx_step_);  // [n, in]
-        for (std::size_t r = 0; r < n; ++r) {
-            float *dst = grad_in_.data() + (r * steps_ + t) * in_;
-            const float *src = dx_step_.data() + r * in_;
-            for (std::size_t j = 0; j < in_; ++j)
-                dst[j] += src[j];
+        if (input_grad) {
+            for (std::size_t r = 0; r < n; ++r)
+                std::copy(pdp + r * h4, pdp + (r + 1) * h4,
+                          dpres_.data() + (r * steps_ + t) * h4);
         }
-        // Hidden gradient to t-1.
-        tensor::matmulTransB(dpre_, wh_, dh_);
+        // Hidden gradient to t-1; nothing reads it below t = 0.
+        if (t > 0)
+            tensor::matmul(dpre_, wh_t_, dh_);
     }
+    if (!input_grad)
+        return grad_in_;
+
+    // The input gradient of every step in one GEMM over the (r, t)-ordered
+    // dpre rows, whose output rows are the [n, T, in] layout. Each element
+    // is its step's chain from +0, which is never -0, so writing it equals
+    // adding it to a zeroed buffer bit for bit.
+    tensor::matmulTransB(dpres_, wx_, dx_);
+    if (grad_in_.ndim() != 3 || grad_in_.dim(0) != n)
+        grad_in_ = Tensor({n, steps_, in_});
+    std::copy(dx_.data(), dx_.data() + dx_.numel(), grad_in_.data());
     return grad_in_;
 }
 

@@ -36,7 +36,6 @@ class LSTM : public Layer
     std::string name() const override;
     LayerKind kind() const override { return LayerKind::Recurrent; }
     const Tensor &forward(const Tensor &in, bool train) override;
-    const Tensor &backward(const Tensor &grad_out) override;
     std::vector<Tensor *> params() override { return {&wx_, &wh_, &b_}; }
     std::vector<Tensor *> grads() override { return {&dwx_, &dwh_, &db_}; }
     std::uint64_t flopsPerSample() const override;
@@ -45,6 +44,8 @@ class LSTM : public Layer
     std::size_t steps() const { return steps_; }
 
   private:
+    const Tensor &backprop(const Tensor &grad_out,
+                           bool input_grad) override;
     std::size_t in_, hidden_, steps_;
     Tensor wx_;  //!< [in, 4*hidden]
     Tensor wh_;  //!< [hidden, 4*hidden]
@@ -55,23 +56,28 @@ class LSTM : public Layer
     // calls: when the batch size is unchanged only h_0/c_0 are re-zeroed
     // (everything else is fully overwritten each forward), so steady-state
     // training steps are allocation-free.
-    std::vector<Tensor> xs_;      //!< per-step inputs [n, in]
+    Tensor x_;                    //!< the input as [n*T, in], (r, t) rows
+    Tensor pre_x_;                //!< x_ Wx for every step [n*T, 4H]
     std::vector<Tensor> hs_;      //!< h_0..h_T, each [n, hidden]
     std::vector<Tensor> cs_;      //!< c_0..c_T
     std::vector<Tensor> gates_;   //!< post-activation gates per step [n,4H]
     std::vector<Tensor> tanh_c_;  //!< tanh(c_t) per step
-    Tensor pre_x_, pre_h_;        //!< per-step GEMM outputs [n, 4H]
+    Tensor pre_h_;                //!< per-step h_t Wh [n, 4H]
     Tensor out_buf_;
     Tensor grad_in_;
     // Backward scratch, persistent so steady-state BPTT is allocation-free
     // (one stable-shape buffer per matmul output instead of reshaping a
-    // shared temporary every timestep).
+    // shared temporary every timestep). dpres_ and dx_ exist only once an
+    // input gradient has been asked for.
     Tensor dh_;        //!< running hidden gradient [n, hidden]
     Tensor dc_;        //!< running cell gradient [n, hidden]
     Tensor dpre_;      //!< pre-activation gate gradient [n, 4H]
+    Tensor xt_;        //!< x_t gathered from x_ [n, in]
+    Tensor wh_t_;      //!< Wh^T [4H, hidden], refreshed every backward
     Tensor dwx_step_;  //!< [in, 4H]
     Tensor dwh_step_;  //!< [hidden, 4H]
-    Tensor dx_step_;   //!< [n, in]
+    Tensor dpres_;     //!< dpre_ of every step, (r, t) rows [n*T, 4H]
+    Tensor dx_;        //!< dpres_ Wx^T [n*T, in]
     std::size_t cached_n_ = 0;
     std::size_t alloc_n_ = 0;     //!< batch size the caches were built for
 };

@@ -49,6 +49,8 @@ layerSpanName(const char *phase, std::size_t idx, LayerKind kind)
 Model &
 Model::add(std::unique_ptr<Layer> layer)
 {
+    if (first_trainable_ == layers_.size() && layer->params().empty())
+        ++first_trainable_;
     layers_.push_back(std::move(layer));
     spans_ready_ = false;
     return *this;
@@ -91,9 +93,14 @@ Model::trainStep(const Tensor &input, const std::vector<int> &labels)
     const Tensor &logits = forward(input, /*train=*/true);
     double loss_value = loss_.forward(logits, labels);
     const Tensor *g = &loss_.backward();
-    for (std::size_t i = layers_.size(); i-- > 0;) {
+    // Nothing reads the first trainable layer's input gradient, and the
+    // layers below it have no parameters: backward stops there.
+    for (std::size_t i = layers_.size(); i-- > first_trainable_;) {
         obs::ScopedTimer timer(bwd_spans_[i]);
-        g = &layers_[i]->backward(*g);
+        if (i == first_trainable_)
+            layers_[i]->backwardParams(*g);
+        else
+            g = &layers_[i]->backward(*g);
     }
     return loss_value;
 }

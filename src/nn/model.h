@@ -69,6 +69,10 @@ class Model
     /**
      * One training step on a batch: forward, loss, backward, gradient
      * accumulation. Does NOT update parameters; call an optimizer.
+     * Backward ends at the first layer with parameters, which gets
+     * backwardParams(): no input gradient of that layer or below it is
+     * computed, and the parameter gradients are bit-identical to a full
+     * backward chain's.
      *
      * @return Mean loss over the batch.
      */
@@ -133,6 +137,8 @@ class Model
     void ensureSpans();
 
     std::vector<std::unique_ptr<Layer>> layers_;
+    //! Index of the first layer with parameters; size() when none has.
+    std::size_t first_trainable_ = 0;
     SoftmaxCrossEntropy loss_;
     bool spans_ready_ = false;
     std::vector<obs::SpanNode *> fwd_spans_;

@@ -79,7 +79,7 @@ MaxPool2D::forward(const Tensor &in, bool train)
 }
 
 const Tensor &
-MaxPool2D::backward(const Tensor &grad_out)
+MaxPool2D::backprop(const Tensor &grad_out, bool)
 {
     const std::size_t n = cached_n_;
     assert(n > 0);

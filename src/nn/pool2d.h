@@ -30,13 +30,14 @@ class MaxPool2D : public Layer
     std::string name() const override;
     LayerKind kind() const override { return LayerKind::Pool; }
     const Tensor &forward(const Tensor &in, bool train) override;
-    const Tensor &backward(const Tensor &grad_out) override;
     std::uint64_t flopsPerSample() const override;
 
     std::size_t outHeight() const { return oh_; }
     std::size_t outWidth() const { return ow_; }
 
   private:
+    const Tensor &backprop(const Tensor &grad_out,
+                           bool input_grad) override;
     std::size_t c_, k_, h_, w_, oh_, ow_;
     Tensor out_buf_;
     Tensor grad_in_;

@@ -24,7 +24,7 @@ AbsOptimizer::QNetwork::train(const tensor::Tensor &x, std::size_t action,
     grad[action] = static_cast<float>(q[action] - target);
     const tensor::Tensor *g = &fc2.backward(grad);
     g = &relu.backward(*g);
-    fc1.backward(*g);
+    fc1.backwardParams(*g);
     for (nn::Layer *layer : {static_cast<nn::Layer *>(&fc1),
                              static_cast<nn::Layer *>(&fc2)}) {
         auto params = layer->params();

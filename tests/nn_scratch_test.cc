@@ -10,6 +10,7 @@
  * counting shim and asserts exactly that.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -29,12 +30,17 @@
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::size_t> g_alloc_max{0};  //!< largest request, in bytes
 } // namespace
 
 void *
 operator new(std::size_t n)
 {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    std::size_t max = g_alloc_max.load(std::memory_order_relaxed);
+    while (n > max && !g_alloc_max.compare_exchange_weak(
+                          max, n, std::memory_order_relaxed)) {
+    }
     void *p = std::malloc(n ? n : 1);
     if (p == nullptr)
         throw std::bad_alloc();
@@ -85,6 +91,15 @@ allocsDuring(const std::function<void()> &fn)
     return g_alloc_count.load(std::memory_order_relaxed) - before;
 }
 
+/** Largest single allocation (bytes) made by fn; 0 when none. */
+std::size_t
+largestAllocDuring(const std::function<void()> &fn)
+{
+    g_alloc_max.store(0, std::memory_order_relaxed);
+    fn();
+    return g_alloc_max.load(std::memory_order_relaxed);
+}
+
 TEST(SteadyStateAllocs, MatmulReusesOutputAndPackPanel)
 {
     Tensor a({16, 24}), b({24, 12}), c;
@@ -124,6 +139,31 @@ TEST(SteadyStateAllocs, Conv2DForwardBackwardAllocationFree)
         layer.backward(dy);
     });
     EXPECT_EQ(n, 0u);
+}
+
+TEST(SteadyStateAllocs, FirstLayerConv2DAllocatesNoInputGradient)
+{
+    // As a model's first layer the convolution only takes
+    // backwardParams(): it must never build its largest buffers, the
+    // input-gradient columns [n*oh*ow, in_c*k*k] and the input gradient
+    // [n, in_c, h, w]. Its other backward buffers are smaller than both.
+    fedgpo::util::Rng rng(26);
+    nn::Conv2D layer(3, 8, 3, 10, 10, 2, 1, rng);
+    const Tensor x({4, 3, 10, 10}, 0.5f);
+    const Tensor dy({4, 8, 5, 5}, 1.0f);
+    const std::size_t grad_cols_bytes = 4 * 5 * 5 * 3 * 3 * 3 * sizeof(float);
+    const std::size_t grad_in_bytes = x.numel() * sizeof(float);
+    layer.forward(x, true);
+    EXPECT_LT(largestAllocDuring([&] { layer.backwardParams(dy); }),
+              std::min(grad_cols_bytes, grad_in_bytes));
+    const std::uint64_t n = allocsDuring([&] {
+        layer.forward(x, true);
+        layer.backwardParams(dy);
+    });
+    EXPECT_EQ(n, 0u);
+    // A full backward does build them: the probe above can see them.
+    EXPECT_GE(largestAllocDuring([&] { layer.backward(dy); }),
+              std::max(grad_cols_bytes, grad_in_bytes));
 }
 
 /** Allocations of one forward + backward after a warm-up pair. */
@@ -185,6 +225,23 @@ TEST(SteadyStateAllocs, LstmForwardBackwardAllocationFree)
     const std::uint64_t n = allocsDuring([&] {
         layer.forward(x, true);
         layer.backward(dy);
+    });
+    EXPECT_EQ(n, 0u);
+}
+
+TEST(SteadyStateAllocs, LstmParamsOnlyBackwardAllocationFree)
+{
+    // The first-layer path: no input-gradient buffers, nothing allocated
+    // in steady state.
+    fedgpo::util::Rng rng(27);
+    nn::LSTM layer(12, 16, 6, rng);
+    Tensor x({4, 6, 12}, 0.5f);
+    Tensor dy({4, 16}, 1.0f);
+    layer.forward(x, true);
+    layer.backwardParams(dy);
+    const std::uint64_t n = allocsDuring([&] {
+        layer.forward(x, true);
+        layer.backwardParams(dy);
     });
     EXPECT_EQ(n, 0u);
 }

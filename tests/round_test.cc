@@ -17,6 +17,7 @@
 
 #include "fl/round/aggregator.h"
 #include "nn/dense.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "fl/round/round_engine.h"
 #include "fl/round/straggler_policy.h"
@@ -411,6 +412,50 @@ TEST(RoundObserverStream, StageNamesStable)
 }
 
 // --- JSONL trace writer. ------------------------------------------------
+
+TEST(JsonlTraceWriter, CompressionRatioIsTheSharedOneUnderRetries)
+{
+    // Flaky uplinks and an Int8 codec: retransmitted reports must carry
+    // the ratio comm::CommModel::compressionRatio gives the round
+    // epilogue's histogram, full payload times (1 + retries) over bytes
+    // sent, bit for bit.
+    FlConfig config = tinyConfig();
+    config.faults.upload_failure_rate = 0.5;
+    config.faults.max_upload_retries = 3;
+    config.comm.codec = comm::Codec::Int8Quant;
+    const std::string path = "round_trace_retries_test.jsonl";
+    std::uint64_t full = 0;
+    {
+        FlSimulator sim(config);
+        full = sim.paramBytes();
+        JsonlTraceWriter trace(path);
+        ASSERT_TRUE(trace.ok());
+        sim.addRoundObserver(&trace);
+        for (int round = 0; round < 3; ++round)
+            sim.runRoundWithParams(GlobalParams{4, 1, 8});
+        sim.removeRoundObserver(&trace);
+    }
+
+    std::ifstream in(path);
+    std::string line;
+    std::size_t retried = 0;
+    while (std::getline(in, line)) {
+        util::JsonValue record;
+        ASSERT_TRUE(util::JsonValue::parse(line, record)) << line;
+        for (const util::JsonValue &c : record.at("clients").elements()) {
+            const std::int64_t retries = c.at("retries").asInt64();
+            const std::int64_t bytes_up = c.at("bytes_up").asInt64();
+            if (retries > 0 && bytes_up > 0)
+                ++retried;
+            const double want = comm::CommModel::compressionRatio(
+                full * static_cast<std::uint64_t>(1 + retries),
+                static_cast<std::uint64_t>(bytes_up));
+            EXPECT_EQ(c.at("compression_ratio").asNumber(), want) << line;
+        }
+    }
+    EXPECT_GT(retried, 0u);
+    std::remove(path.c_str());
+}
 
 TEST(JsonlTraceWriter, OneRecordPerRoundWithStageAndClientFields)
 {
